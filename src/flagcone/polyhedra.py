@@ -8,15 +8,14 @@ an irredundant set of facet normals.  Everything is exact; there is no
 floating point anywhere on a decision path.
 
 The double description implementation inserts inequality rows one at a
-time, keeping the extreme rays of the intermediate cone.  Adjacency of a
-positive/negative ray pair is decided in two stages: a combinatorial
-prefilter (the pair's common active set must have at least d-2 rows and
-must not be dominated by the active set of any third ray), then an
-algebraic confirmation that the common active rows have rank exactly d-2.
-The rank confirmation first tries a single modular elimination; because
-the common active rows annihilate two independent rays, their rank can
-never exceed d-2, so a modular rank of d-2 is already conclusive.  Only
-the rare deficient case falls back to fraction-free integer elimination.
+time, keeping the extreme rays of the intermediate cone on plain Python
+ints.  Each ray carries its zero set over the rows inserted so far as a
+bitmask, updated incrementally.  Adjacency of a positive/negative ray pair
+is decided by the combinatorial test alone: the pair's common zero set must
+have at least d-2 rows and must not be contained in the zero set of any
+third ray.  For the extreme rays of a pointed cone this test is exact
+(Fukuda & Prodon, "Double Description Method Revisited", 1996), so no rank
+computation runs inside the loop.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
-
-from ._kernel import adjacency_pairs, default_workers
 
 __all__ = [
     "DimensionOverflow",
@@ -135,16 +132,18 @@ def canonicalize(v: Sequence[Scalar]) -> Ray:
     """Scale a nonzero rational vector to a primitive integer ray.
 
     Clears denominators and divides by the gcd; the direction is kept as
-    given, there is no sign normalization.
+    given, there is no sign normalization.  Integer input skips the
+    rational arithmetic.
     """
-    fracs = [Fraction(x) for x in v]
-    if not any(fracs):
+    if all(isinstance(x, int) for x in v):
+        ints = list(v)
+    else:
+        fracs = [Fraction(x) for x in v]
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
+    g = gcd(*ints)
+    if g == 0:
         raise ZeroVector("cannot canonicalize the zero vector")
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
     return Ray(tuple(x // g for x in ints))
 
 
@@ -188,37 +187,6 @@ def matrix_rank(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> int:
                 mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
             mat[i][c] = 0
         prev = mat[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-_PRIME = 2_147_483_647
-
-
-def _rank_mod_p(rows: list[tuple[int, ...]]) -> int:
-    """Rank of integer rows modulo a fixed prime; never exceeds the true rank."""
-    if not rows:
-        return 0
-    import numpy as np
-
-    mat = np.array([[x % _PRIME for x in row] for row in rows], dtype=np.int64)
-    m, ncols = mat.shape
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(mat[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        inv = pow(int(mat[r, c]), _PRIME - 2, _PRIME)
-        mat[r] = (mat[r] * inv) % _PRIME
-        below = np.nonzero(mat[r + 1 :, c])[0]
-        if below.size:
-            idx = r + 1 + below
-            mat[idx] = (mat[idx] - np.outer(mat[idx, c], mat[r])) % _PRIME
         r += 1
         if r == m:
             break
@@ -271,18 +239,58 @@ def _invert(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
     return [row[d:] for row in aug]
 
 
-def _active_mask(coords: tuple[int, ...], rows: list[tuple[int, ...]]) -> int:
-    mask = 0
-    for k, row in enumerate(rows):
-        if sum(a * b for a, b in zip(row, coords)) == 0:
-            mask |= 1 << k
-    return mask
+def adjacency_pairs(
+    masks: list[int], pos: list[int], neg: list[int], need: int
+) -> list[tuple[int, int]]:
+    """All (i, j) with i in pos, j in neg whose rays are adjacent.
+
+    masks[t] is the zero set of ray t over the rows inserted so far.  A
+    pair is adjacent when its common zero set z has at least `need` rows
+    and no third ray is zero on all of z.  The rays zero on all of z are
+    the AND, over the rows of z, of the rays zero on each row (the
+    transposed incidence); the scan stops as soon as only i and j remain.
+    Pairs come out ordered by position in pos, then position in neg.
+    """
+    out: list[tuple[int, int]] = []
+    if not pos or not neg:
+        return out
+    zero_on = [0] * max(mk.bit_length() for mk in masks)
+    for t, mk in enumerate(masks):
+        ray = 1 << t
+        while mk:
+            low = mk & -mk
+            zero_on[low.bit_length() - 1] |= ray
+            mk ^= low
+    # An empty z (d = 2) leaves every current ray alive, so such a pair is
+    # adjacent only when no third ray exists.
+    everyone = (1 << len(masks)) - 1
+    neg_masks = [(j, masks[j]) for j in neg]
+    for i in pos:
+        zi = masks[i]
+        rows_i = []  # (row bit, rays zero on that row) for each row in zi
+        mk = zi
+        while mk:
+            low = mk & -mk
+            rows_i.append((low, zero_on[low.bit_length() - 1]))
+            mk ^= low
+        for j, zj in neg_masks:
+            if (zi & zj).bit_count() < need:
+                continue
+            pair = 1 << i | 1 << j
+            alive = everyone
+            for low, rays in rows_i:
+                if zj & low:
+                    alive &= rays
+                    if alive == pair:
+                        break
+            if alive == pair:
+                out.append((i, j))
+    return out
 
 
 def dd_rays(
     A: RationalMatrix | Sequence[Sequence[Scalar]],
     *,
-    workers: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> list[Ray]:
     """Extreme rays of the pointed cone {x : Ax >= 0}.
@@ -295,14 +303,12 @@ def dd_rays(
     result is independent of the input row order.
 
     progress, when given, is called as progress(step, total, nrays) after
-    each insertion.  workers defaults to the FLAGCONE_THREADS setting.
+    each insertion.
     """
     frac_rows = _as_rows(A)
     d = len(frac_rows[0])
     if d > MAX_COLS:
         raise DimensionOverflow("cone dimension %d exceeds %d" % (d, MAX_COLS))
-    if workers is None:
-        workers = default_workers()
 
     rows = sorted(set(_integer_rows(frac_rows)),
                   key=lambda r: (sum(1 for x in r if x), r))
@@ -318,50 +324,33 @@ def dd_rays(
     if len(basis_idx) < d:
         raise NotPointed("inequality rows have rank %d < %d" % (ech.rank, d))
 
+    # Column j of the inverse is zero on every basis row except basis_idx[j].
     inv = _invert([rows[k] for k in basis_idx])
     rays: list[Ray] = [canonicalize([inv[i][j] for i in range(d)]) for j in range(d)]
-    masks: list[int] = [_active_mask(r.coords, rows) for r in rays]
+    basis_bits = sum(1 << k for k in basis_idx)
+    masks: list[int] = [basis_bits ^ 1 << k for k in basis_idx]
 
-    processed = 0
-    for k in basis_idx:
-        processed |= 1 << k
-    remaining = [k for k in range(m) if k not in set(basis_idx)]
+    in_basis = set(basis_idx)
+    remaining = [k for k in range(m) if k not in in_basis]
     need = d - 2
 
     for step, k in enumerate(remaining):
-        row = rows[k]
-        vals = [r.dot(row) for r in rays]
+        vals = [r.dot(rows[k]) for r in rays]
+        bit = 1 << k
+        masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if neg:
             pos = [i for i, v in enumerate(vals) if v > 0]
-            zero = [i for i, v in enumerate(vals) if v == 0]
-            visible = [mk & processed for mk in masks]
-            candidates = adjacency_pairs(visible, pos, neg, need, m, workers)
-
+            keep = [i for i, v in enumerate(vals) if v >= 0]
             new_rays: list[Ray] = []
             new_masks: list[int] = []
-            seen: set[tuple[int, ...]] = set()
-            for i, j in candidates:
-                common = visible[i] & visible[j]
-                active = [rows[t] for t in range(m) if common >> t & 1]
-                rank = _rank_mod_p(active)
-                if rank < need:
-                    rank = matrix_rank(active)
-                if rank != need:
-                    continue
+            for i, j in adjacency_pairs(masks, pos, neg, need):
                 vi, vj = vals[i], vals[j]
                 combo = [vi * b - vj * a for a, b in zip(rays[i].coords, rays[j].coords)]
-                ray = canonicalize(combo)
-                if ray.coords in seen:
-                    continue
-                seen.add(ray.coords)
-                new_rays.append(ray)
-                new_masks.append(_active_mask(ray.coords, rows))
-
-            keep = pos + zero
+                new_rays.append(canonicalize(combo))
+                new_masks.append(masks[i] & masks[j] | bit)
             rays = [rays[i] for i in keep] + new_rays
             masks = [masks[i] for i in keep] + new_masks
-        processed |= 1 << k
         if progress is not None:
             progress(step + 1, len(remaining), len(rays))
 
@@ -394,7 +383,6 @@ def _span_coords(U: list[tuple[int, ...]], vec: Sequence[Scalar]) -> list[Fracti
 def dd_facets(
     rays: Sequence[Ray] | Sequence[Sequence[Scalar]],
     *,
-    workers: int | None = None,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> RationalMatrix:
     """Irredundant facet normals of the cone generated by the given rays.
@@ -419,12 +407,12 @@ def dd_facets(
     if s == 0:
         raise ZeroVector("all rays are zero vectors")
     if s == d:
-        normals = dd_rays(coord_rows, workers=workers, progress=progress)
+        normals = dd_rays(coord_rows, progress=progress)
         return RationalMatrix.from_rows(n.coords for n in normals)
 
     U = span_rows
     reduced = [_span_coords(U, row) for row in coord_rows]
-    normals_low = dd_rays(reduced, workers=workers, progress=progress)
+    normals_low = dd_rays(reduced, progress=progress)
     lifted = []
     for nl in normals_low:
         coeff = _gram_solve(U, nl.coords)

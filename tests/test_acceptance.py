@@ -146,7 +146,7 @@ def test_criterion_03_extreme_counts_and_new_forms():
 
 @pytest.mark.slow
 def test_criterion_04_rank6_enumeration():
-    report = extreme_rays(5, workers=4)
+    report = extreme_rays(5)
     assert len(report.rays) == 796
     all_rays = ray_set(e.form for e in report.rays)
     tagged = ray_set(e.form for e in report.rays if e.tag != "new")

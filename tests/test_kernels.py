@@ -1,9 +1,9 @@
-"""Parity, ordering, and determinism tests for the adjacency kernels.
+"""Oracle tests for the double description adjacency kernel.
 
-The double description hot loop dispatches to a compiled extension when it
-built and to a pure-Python routine otherwise.  Both must return identical
-pair lists in identical order, so each test checks the two against a plain
-reference implementation written independently here.
+`polyhedra.adjacency_pairs` decides which positive/negative ray pairs are
+adjacent from their zero-set bitmasks alone, using the transposed incidence
+(row -> rays zero on it).  Each test checks it against a plain reference
+implementation written independently here, which scans every third ray.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ import random
 
 import pytest
 
-from flagcone import _ddpure, _kernel, polyhedra
-from flagcone.cone import facet_system
-from flagcone.polyhedra import dd_rays
-
-requires_compiled = pytest.mark.skipif(
-    not _kernel.HAVE_COMPILED, reason="compiled kernel not built"
-)
+from flagcone.polyhedra import adjacency_pairs
 
 
 def oracle_pairs(
@@ -62,81 +56,34 @@ class TestPureKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle(self, seed):
         masks, pos, neg, need = random_state(seed, nrays=18, nbits=24)
-        got = _ddpure.adjacency_pairs(masks, pos, neg, need, 24, 1)
+        got = adjacency_pairs(masks, pos, neg, need)
         assert got == oracle_pairs(masks, pos, neg, need)
 
     def test_output_order(self):
         masks, pos, neg, need = random_state(3, nrays=20, nbits=30)
-        got = _ddpure.adjacency_pairs(masks, pos, neg, need, 30, 1)
+        got = adjacency_pairs(masks, pos, neg, need)
         keys = [(pos.index(i), neg.index(j)) for i, j in got]
         assert keys == sorted(keys)
 
     def test_empty_sides(self):
         masks = [0b11, 0b10]
-        assert _ddpure.adjacency_pairs(masks, [], [1], 1, 2, 1) == []
-        assert _ddpure.adjacency_pairs(masks, [0], [], 1, 2, 1) == []
+        assert adjacency_pairs(masks, [], [1], 1) == []
+        assert adjacency_pairs(masks, [0], [], 1) == []
 
+    @pytest.mark.parametrize("nrays, expected", [(2, [(0, 1)]), (3, [])])
+    def test_empty_common_zero_set(self, nrays, expected):
+        # need = 0 (a 2-dimensional cone): a pair with no common zero row is
+        # adjacent exactly when no third ray exists, since every ray's zero
+        # set contains the empty set.
+        masks = [0b01, 0b10, 0b100][:nrays]
+        got = adjacency_pairs(masks, [0], [1], 0)
+        assert got == expected == oracle_pairs(masks, [0], [1], 0)
 
-@requires_compiled
-class TestCompiledKernel:
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("nbits", [10, 40, 64])
-    def test_matches_pure(self, seed, nbits):
-        masks, pos, neg, need = random_state(seed, nrays=18, nbits=nbits)
-        pure = _ddpure.adjacency_pairs(masks, pos, neg, need, nbits, 1)
-        compiled = _kernel._compiled_pairs(masks, pos, neg, need, nbits, 1)
-        assert compiled == pure
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_multiword_masks(self, seed):
-        nbits = 130  # three 64-bit words
-        masks, pos, neg, need = random_state(seed, nrays=24, nbits=nbits)
-        pure = _ddpure.adjacency_pairs(masks, pos, neg, need, nbits, 1)
-        compiled = _kernel._compiled_pairs(masks, pos, neg, need, nbits, 1)
-        assert compiled == pure
-        assert compiled == oracle_pairs(masks, pos, neg, need)
-
-    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-    def test_worker_chunks_deterministic(self, workers):
-        masks, pos, neg, need = random_state(9, nrays=40, nbits=50)
-        serial = _kernel._compiled_pairs(masks, pos, neg, need, 50, 1)
-        chunked = _kernel._compiled_pairs(masks, pos, neg, need, 50, workers)
-        assert chunked == serial
-
-    def test_empty_negative_side(self):
-        masks, pos, _, need = random_state(1, nrays=10, nbits=16)
-        assert _kernel._compiled_pairs(masks, pos, [], need, 16, 4) == []
-
-
-class TestDispatch:
-    def test_beyond_mask_width_falls_back(self):
-        # 16 words of 64 bits is the compiled cap; one row more must still work
-        nbits = 64 * 16 + 1
+    @pytest.mark.parametrize("nbits", [64 * 16 + 1, 2000])
+    def test_wide_masks(self, nbits):
         masks, pos, neg, need = random_state(0, nrays=10, nbits=nbits, density=0.6)
-        got = _kernel.adjacency_pairs(masks, pos, neg, need, nbits, 2)
-        assert got == _ddpure.adjacency_pairs(masks, pos, neg, need, nbits, 1)
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv("FLAGCONE_THREADS", "6")
-        assert _kernel.default_workers() == 6
-        monkeypatch.setenv("FLAGCONE_THREADS", "junk")
-        assert _kernel.default_workers() == 1
-        monkeypatch.setenv("FLAGCONE_THREADS", "0")
-        assert _kernel.default_workers() == 1
-        monkeypatch.delenv("FLAGCONE_THREADS")
-        assert _kernel.default_workers() == 1
-
-
-class TestEndToEnd:
-    def test_dd_rays_same_under_pure_kernel(self, monkeypatch):
-        rows = facet_system(3).normal_matrix
-        default = dd_rays(rows)
-        monkeypatch.setattr(polyhedra, "adjacency_pairs", _ddpure.adjacency_pairs)
-        pure = dd_rays(rows)
-        assert pure == default
-        assert len(pure) == 13
-
-    @requires_compiled
-    def test_dd_rays_same_under_worker_counts(self):
-        rows = facet_system(4).normal_matrix
-        assert dd_rays(rows, workers=1) == dd_rays(rows, workers=4)
+        # an extra ray zero on the first pair's common rows dominates it
+        masks.append(masks[pos[0]] & masks[neg[0]])
+        got = adjacency_pairs(masks, pos, neg, need)
+        assert (pos[0], neg[0]) not in got
+        assert got == oracle_pairs(masks, pos, neg, need)

@@ -9,14 +9,19 @@ the module under test.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcone import polyhedra
 from flagcone.intervals import enumerate_antichains, blockers
 from flagcone.polyhedra import (
     DimensionOverflow,
@@ -25,6 +30,7 @@ from flagcone.polyhedra import (
     RationalMatrix,
     Ray,
     ZeroVector,
+    adjacency_pairs,
     canonicalize,
     dd_facets,
     dd_rays,
@@ -212,9 +218,46 @@ class TestDDRays:
             assert {r.coords for r in dd_rays(rows)} == brute_rays(rows)
             checked += 1
 
-    def test_workers_do_not_change_result(self):
-        rows = facet_matrix(3)
-        assert dd_rays(rows, workers=1) == dd_rays(rows, workers=4)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_accepted_pairs_have_codimension_two(self, n, monkeypatch):
+        # Adjacency is decided by the combinatorial test alone.  Confirm it
+        # algebraically at ranks 2 to 5: the rows on which both rays of an
+        # accepted pair vanish have rank exactly d - 2.  Mask bits index the
+        # rows in insertion order (ascending nonzero count, then value).
+        rows = facet_matrix(n)
+        d = len(rows[0])
+        order = sorted(set(rows), key=lambda r: (sum(1 for x in r if x), r))
+        common_sets = []
+
+        def spy(masks, pos, neg, need):
+            pairs = adjacency_pairs(masks, pos, neg, need)
+            common_sets.extend(masks[i] & masks[j] for i, j in pairs)
+            return pairs
+
+        monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+        dd_rays(rows)
+        assert common_sets or n == 1  # rank 2 has a single ray
+        for common in common_sets:
+            active = [row for k, row in enumerate(order) if common >> k & 1]
+            assert (matrix_rank(active) if active else 0) == d - 2
+
+    def test_needs_only_the_standard_library(self):
+        # The DD core runs on plain ints: a rank-5 enumeration in a fresh
+        # interpreter imports no third-party module, NumPy in particular.
+        src = Path(polyhedra.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from flagcone.cone import facet_system\n"
+            "from flagcone.polyhedra import dd_rays\n"
+            "assert len(dd_rays(facet_system(4).normal_matrix)) == 41\n"
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(added - sys.stdlib_module_names))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "['flagcone']"
 
 
 class TestBlockerConeCounts:
