@@ -318,7 +318,7 @@ def extreme_rays(
 
     Each ray is converted to a form and classified against the lower-rank
     reports.  Ambients up to 4 take well under a second; n = 5 (rank 6)
-    takes about 5 s on one 2.1 GHz x86-64 core (perfbench enumerate-r6).
+    takes about 2 s on one 2.1 GHz x86-64 core (perfbench enumerate-r6).
     Reports are cached per ambient.
     """
     cached = _REPORT_CACHE.get(n)

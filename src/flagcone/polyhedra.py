@@ -8,14 +8,16 @@ an irredundant set of facet normals.  Everything is exact; there is no
 floating point anywhere on a decision path.
 
 The double description implementation inserts inequality rows one at a
-time, keeping the extreme rays of the intermediate cone on plain Python
-ints.  Each ray carries its zero set over the rows inserted so far as a
-bitmask, updated incrementally.  Adjacency of a positive/negative ray pair
-is decided by the combinatorial test alone: the pair's common zero set must
-have at least d-2 rows and must not be contained in the zero set of any
-third ray.  For the extreme rays of a pointed cone this test is exact
-(Fukuda & Prodon, "Double Description Method Revisited", 1996), so no rank
-computation runs inside the loop.
+time, in descending lexicographic order, keeping the extreme rays of the
+intermediate cone as tuples of plain Python ints.  Each ray carries its
+zero set over the rows inserted so far as a bitmask, updated incrementally.
+Adjacency of a positive/negative ray pair is decided by the combinatorial
+test alone: the pair's common zero set must have at least d-2 rows and must
+not be contained in the zero set of any third ray.  For the extreme rays of
+a pointed cone this test is exact (Fukuda & Prodon, "Double Description
+Method Revisited", 1996), so no rank computation runs inside the loop.  The
+third ray that last ruled out a pair is tried first on the next pair with
+the same positive ray, and usually rules that one out too.
 """
 
 from __future__ import annotations
@@ -249,7 +251,10 @@ def adjacency_pairs(
     and no third ray is zero on all of z.  The rays zero on all of z are
     the AND, over the rows of z, of the rays zero on each row (the
     transposed incidence); the scan stops as soon as only i and j remain.
-    Pairs come out ordered by position in pos, then position in neg.
+    Before that scan, each pair is tried against a witness: the last third
+    ray that ruled out a pair with the same i, which often rules out the
+    next one too.  Pairs come out ordered by position in pos, then position
+    in neg.
     """
     out: list[tuple[int, int]] = []
     if not pos or not neg:
@@ -267,25 +272,40 @@ def adjacency_pairs(
     neg_masks = [(j, masks[j]) for j in neg]
     for i in pos:
         zi = masks[i]
-        rows_i = []  # (row bit, rays zero on that row) for each row in zi
-        mk = zi
-        while mk:
-            low = mk & -mk
-            rows_i.append((low, zero_on[low.bit_length() - 1]))
-            mk ^= low
+        bit_i = 1 << i
+        w = -1  # witness ray; never i, but it may be a later partner j
+        not_zw = 0
         for j, zj in neg_masks:
-            if (zi & zj).bit_count() < need:
+            z = zi & zj
+            if z.bit_count() < need:
                 continue
-            pair = 1 << i | 1 << j
+            if w >= 0 and not z & not_zw and w != j:
+                continue
+            pair = bit_i | 1 << j
             alive = everyone
-            for low, rays in rows_i:
-                if zj & low:
-                    alive &= rays
-                    if alive == pair:
-                        break
+            while z:
+                low = z & -z
+                alive &= zero_on[low.bit_length() - 1]
+                if alive == pair:
+                    break
+                z ^= low
             if alive == pair:
                 out.append((i, j))
+            else:
+                rest = alive ^ pair
+                w = (rest & -rest).bit_length() - 1
+                not_zw = ~masks[w]
     return out
+
+
+def _insertion_order(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """The distinct integer rows in the order dd_rays inserts them.
+
+    Descending lexicographic order ("lex-max").  On the 0/1 facet systems
+    of this package it keeps the intermediate frontier small: at rank 6 it
+    peaks at 1,070 rays, against 1,791 for ascending nonzero count.
+    """
+    return sorted(set(_integer_rows(rows)), reverse=True)
 
 
 def dd_rays(
@@ -296,11 +316,12 @@ def dd_rays(
     """Extreme rays of the pointed cone {x : Ax >= 0}.
 
     The rows are scaled to coprime integers, deduplicated, and inserted in
-    order of ascending nonzero count (ties by row value), which keeps the
-    intermediate ray counts small on the 0/1 matrices this package
-    produces.  Output rays are canonical (primitive integer, fixed
-    direction) and sorted lexicographically by coordinate vector, so the
-    result is independent of the input row order.
+    descending lexicographic order (see _insertion_order).  Inside the loop
+    rays are plain int tuples; a new ray is divided by its gcd once, and
+    each row's dot products run over its nonzero entries only.  Output
+    rays are canonical (primitive integer, fixed direction) and sorted
+    lexicographically by coordinate vector, so the result is independent
+    of the input row order.
 
     progress, when given, is called as progress(step, total, nrays) after
     each insertion.
@@ -310,8 +331,7 @@ def dd_rays(
     if d > MAX_COLS:
         raise DimensionOverflow("cone dimension %d exceeds %d" % (d, MAX_COLS))
 
-    rows = sorted(set(_integer_rows(frac_rows)),
-                  key=lambda r: (sum(1 for x in r if x), r))
+    rows = _insertion_order(frac_rows)
     m = len(rows)
 
     basis_idx: list[int] = []
@@ -326,7 +346,7 @@ def dd_rays(
 
     # Column j of the inverse is zero on every basis row except basis_idx[j].
     inv = _invert([rows[k] for k in basis_idx])
-    rays: list[Ray] = [canonicalize([inv[i][j] for i in range(d)]) for j in range(d)]
+    rays = [canonicalize([inv[i][j] for i in range(d)]).coords for j in range(d)]
     basis_bits = sum(1 << k for k in basis_idx)
     masks: list[int] = [basis_bits ^ 1 << k for k in basis_idx]
 
@@ -335,26 +355,28 @@ def dd_rays(
     need = d - 2
 
     for step, k in enumerate(remaining):
-        vals = [r.dot(rows[k]) for r in rays]
+        support = [(c, x) for c, x in enumerate(rows[k]) if x]
+        vals = [sum([ray[c] * x for c, x in support]) for ray in rays]
         bit = 1 << k
         masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if neg:
             pos = [i for i, v in enumerate(vals) if v > 0]
             keep = [i for i, v in enumerate(vals) if v >= 0]
-            new_rays: list[Ray] = []
+            new_rays: list[tuple[int, ...]] = []
             new_masks: list[int] = []
             for i, j in adjacency_pairs(masks, pos, neg, need):
                 vi, vj = vals[i], vals[j]
-                combo = [vi * b - vj * a for a, b in zip(rays[i].coords, rays[j].coords)]
-                new_rays.append(canonicalize(combo))
+                combo = [vi * b - vj * a for a, b in zip(rays[i], rays[j])]
+                g = gcd(*combo)
+                new_rays.append(tuple([x // g for x in combo]))
                 new_masks.append(masks[i] & masks[j] | bit)
             rays = [rays[i] for i in keep] + new_rays
             masks = [masks[i] for i in keep] + new_masks
         if progress is not None:
             progress(step + 1, len(remaining), len(rays))
 
-    return sorted(rays, key=lambda r: r.coords)
+    return [Ray(coords) for coords in sorted(rays)]
 
 
 def _gram_solve(U: list[tuple[int, ...]], rhs: Sequence[Scalar]) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from flagcone.cone import (
     ray_to_form,
 )
 from flagcone.intervals import IntervalSystem, blockers, catalan, is_blocker
-from flagcone.polyhedra import matrix_rank
+from flagcone.polyhedra import dd_rays, matrix_rank
 from flagcone.poset import flag_number, flag_vector, witness_poset
 
 
@@ -308,3 +309,33 @@ class TestFlagCone:
                 for mask, target in zip(ranksets.subsets(2), g.coords):
                     value = Fraction(flag_number(P, mask), full)
                     assert abs(value - target) <= Fraction(2, N)
+
+
+# SHA-256 of the extreme rays of the inequality cone at ambient n, one
+# comma-separated coordinate line per ray in output order.  The facets of
+# the polar cone flag_cone(n) are the same vectors, so one table pins both.
+PINNED_DIGESTS = {
+    1: "af62962140136ae2e4f8105130202b713e4d5122a9ded98f2f796e4c4b0e2516",
+    2: "b61ab40c537d51bd8d229c82e136ecfea29d19a9b6d096b8b5047bb02ab1ac0d",
+    3: "3b4c24a325ec00e8a58b67fa5e7fcbe71e0a538ca14aa1b151e45b78f561baad",
+    4: "e48cfd1ba684ab8a137634d2d9d87d6c67d4fbb53ce056c1781eb94eb3baa4a2",
+}
+
+
+def rows_digest(rows) -> str:
+    text = "\n".join(",".join(str(x) for x in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    # Changes to the double description loop (row order, adjacency scan)
+    # must leave its output byte for byte the same.
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dd_rays_digest(self, n):
+        rays = dd_rays(facet_system(n).normal_matrix)
+        assert rows_digest(r.coords for r in rays) == PINNED_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flag_cone_facets_digest(self, n):
+        assert rows_digest(flag_cone(n).facets.entries) == PINNED_DIGESTS[n]

@@ -79,6 +79,19 @@ class TestPureKernel:
         got = adjacency_pairs(masks, [0], [1], 0)
         assert got == expected == oracle_pairs(masks, [0], [1], 0)
 
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_oracle_dense(self, seed):
+        masks, pos, neg, need = random_state(seed, nrays=40, nbits=24, density=0.6)
+        got = adjacency_pairs(masks, pos, neg, need)
+        assert got == oracle_pairs(masks, pos, neg, need)
+
+    def test_witness_is_not_the_partner(self):
+        # Ray 2 rules out (0, 1) and becomes the witness for ray 0; it must
+        # not then rule out (0, 2), in which it is the partner.
+        masks = [0b1111, 0b0011, 0b0111]
+        got = adjacency_pairs(masks, [0], [1, 2], 2)
+        assert got == [(0, 2)] == oracle_pairs(masks, [0], [1, 2], 2)
+
     @pytest.mark.parametrize("nbits", [64 * 16 + 1, 2000])
     def test_wide_masks(self, nbits):
         masks, pos, neg, need = random_state(0, nrays=10, nbits=nbits, density=0.6)

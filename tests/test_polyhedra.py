@@ -223,10 +223,10 @@ class TestDDRays:
         # Adjacency is decided by the combinatorial test alone.  Confirm it
         # algebraically at ranks 2 to 5: the rows on which both rays of an
         # accepted pair vanish have rank exactly d - 2.  Mask bits index the
-        # rows in insertion order (ascending nonzero count, then value).
+        # rows in the order dd_rays inserts them.
         rows = facet_matrix(n)
         d = len(rows[0])
-        order = sorted(set(rows), key=lambda r: (sum(1 for x in r if x), r))
+        order = polyhedra._insertion_order(rows)
         common_sets = []
 
         def spy(masks, pos, neg, need):
