@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dd", "generate", "both"), default="dd")
     p.add_argument("--basis", choices=("f", "h"), default="f")
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 2 s, mostly double description)")
+                   help=f"permit rank {SLOW_RANK} (about 1.3 s, mostly double description)")
     p.add_argument("--quiet", action="store_true", help="suppress progress")
     p.set_defaults(func=cmd_extremes, cap=EXTREME_RANK_CAP, min_rank=1)
 
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polar", help="flag-cone generators and facets")
     _add_rank(p, EXTREME_RANK_CAP)
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 3 s: two double description runs)")
+                   help=f"permit rank {SLOW_RANK} (about 2 s: two double description runs)")
     p.add_argument("--quiet", action="store_true", help="suppress progress")
     p.set_defaults(func=cmd_polar, cap=EXTREME_RANK_CAP, min_rank=1)
 

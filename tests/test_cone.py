@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from flagcone import ranksets
-from flagcone.algebra import Form, convolve, eval_poset, h_form, shift
+from flagcone.algebra import Form, convolve, eval_poset, h_form, reflect, shift
 from flagcone.cone import (
     DegreeTooLarge,
     NotInCone,
@@ -210,6 +210,27 @@ class TestExtremeRays:
                 for entry in extreme_rays(rank - 1).rays:
                     assert eval_poset(P, entry.form) >= 0
 
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    )
+    def test_active_sets_are_the_zero_dot_products(self, n):
+        normals = [normal.coords for _, normal in facet_system(n).facets]
+        for entry in extreme_rays(n).rays:
+            coords = form_to_ray(entry.form).coords
+            dots = [sum(a * b for a, b in zip(row, coords)) for row in normals]
+            assert min(dots) >= 0
+            assert entry.active == tuple(i for i, v in enumerate(dots) if v == 0)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    )
+    def test_ray_set_closed_under_reflection(self, n):
+        # Reversing the levels j -> n+1-j is poset duality, which maps the
+        # cone onto itself, so it permutes the extreme rays.
+        report = extreme_rays(n)
+        reflected = {form_to_ray(reflect(e.form)).coords for e in report.rays}
+        assert reflected == report.ray_set
+
     def test_ray_form_roundtrip(self):
         for entry in extreme_rays(3).rays:
             ray = form_to_ray(entry.form)
@@ -319,6 +340,7 @@ PINNED_DIGESTS = {
     2: "b61ab40c537d51bd8d229c82e136ecfea29d19a9b6d096b8b5047bb02ab1ac0d",
     3: "3b4c24a325ec00e8a58b67fa5e7fcbe71e0a538ca14aa1b151e45b78f561baad",
     4: "e48cfd1ba684ab8a137634d2d9d87d6c67d4fbb53ce056c1781eb94eb3baa4a2",
+    5: "a948311ca5f24d8512b15f26978c4f9622ddcc221598bb6ed13e6bfd162253e0",
 }
 
 
@@ -331,7 +353,9 @@ class TestPinnedOutputs:
     # Changes to the double description loop (row order, adjacency scan)
     # must leave its output byte for byte the same.
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    )
     def test_dd_rays_digest(self, n):
         rays = dd_rays(facet_system(n).normal_matrix)
         assert rows_digest(r.coords for r in rays) == PINNED_DIGESTS[n]

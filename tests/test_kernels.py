@@ -2,8 +2,10 @@
 
 `polyhedra.adjacency_pairs` decides which positive/negative ray pairs are
 adjacent from their zero-set bitmasks alone, using the transposed incidence
-(row -> rays zero on it).  Each test checks it against a plain reference
-implementation written independently here, which scans every third ray.
+(row -> rays zero on it) and the bitset of live ray ids.  Each test builds
+the transposed incidence itself and checks the kernel against a plain
+reference implementation written independently here, which scans every
+third live ray.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from flagcone.polyhedra import adjacency_pairs
 
 
 def oracle_pairs(
-    masks: list[int], pos: list[int], neg: list[int], need: int
+    masks: list[int], pos: list[int], neg: list[int], need: int,
+    dead: frozenset[int] = frozenset(),
 ) -> list[tuple[int, int]]:
     """Reference semantics: common active set large enough and not dominated
-    by a third ray's active set."""
+    by a third live ray's active set."""
     out = []
     for i in pos:
         for j in neg:
@@ -27,11 +30,30 @@ def oracle_pairs(
             if bin(z).count("1") < need:
                 continue
             if any(
-                t not in (i, j) and z & ~zt == 0 for t, zt in enumerate(masks)
+                t not in (i, j) and t not in dead and z & ~zt == 0
+                for t, zt in enumerate(masks)
             ):
                 continue
             out.append((i, j))
     return out
+
+
+def transpose(masks: list[int]) -> list[int]:
+    """zero_on[k]: the ids of the rays whose mask has bit k."""
+    width = max((mk.bit_length() for mk in masks), default=0)
+    return [
+        sum(1 << t for t, mk in enumerate(masks) if mk >> k & 1)
+        for k in range(width)
+    ]
+
+
+def kernel(
+    masks: list[int], pos: list[int], neg: list[int], need: int,
+    dead: frozenset[int] = frozenset(),
+) -> list[tuple[int, int]]:
+    """adjacency_pairs on every id but the dead ones."""
+    live = sum(1 << t for t in range(len(masks)) if t not in dead)
+    return adjacency_pairs(masks, transpose(masks), live, pos, neg, need)
 
 
 def random_state(seed: int, nrays: int, nbits: int, density: float = 0.45):
@@ -56,19 +78,19 @@ class TestPureKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_oracle(self, seed):
         masks, pos, neg, need = random_state(seed, nrays=18, nbits=24)
-        got = adjacency_pairs(masks, pos, neg, need)
+        got = kernel(masks, pos, neg, need)
         assert got == oracle_pairs(masks, pos, neg, need)
 
     def test_output_order(self):
         masks, pos, neg, need = random_state(3, nrays=20, nbits=30)
-        got = adjacency_pairs(masks, pos, neg, need)
+        got = kernel(masks, pos, neg, need)
         keys = [(pos.index(i), neg.index(j)) for i, j in got]
         assert keys == sorted(keys)
 
     def test_empty_sides(self):
         masks = [0b11, 0b10]
-        assert adjacency_pairs(masks, [], [1], 1) == []
-        assert adjacency_pairs(masks, [0], [], 1) == []
+        assert kernel(masks, [], [1], 1) == []
+        assert kernel(masks, [0], [], 1) == []
 
     @pytest.mark.parametrize("nrays, expected", [(2, [(0, 1)]), (3, [])])
     def test_empty_common_zero_set(self, nrays, expected):
@@ -76,20 +98,20 @@ class TestPureKernel:
         # adjacent exactly when no third ray exists, since every ray's zero
         # set contains the empty set.
         masks = [0b01, 0b10, 0b100][:nrays]
-        got = adjacency_pairs(masks, [0], [1], 0)
+        got = kernel(masks, [0], [1], 0)
         assert got == expected == oracle_pairs(masks, [0], [1], 0)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_matches_oracle_dense(self, seed):
         masks, pos, neg, need = random_state(seed, nrays=40, nbits=24, density=0.6)
-        got = adjacency_pairs(masks, pos, neg, need)
+        got = kernel(masks, pos, neg, need)
         assert got == oracle_pairs(masks, pos, neg, need)
 
     def test_witness_is_not_the_partner(self):
         # Ray 2 rules out (0, 1) and becomes the witness for ray 0; it must
         # not then rule out (0, 2), in which it is the partner.
         masks = [0b1111, 0b0011, 0b0111]
-        got = adjacency_pairs(masks, [0], [1, 2], 2)
+        got = kernel(masks, [0], [1, 2], 2)
         assert got == [(0, 2)] == oracle_pairs(masks, [0], [1, 2], 2)
 
     @pytest.mark.parametrize("nbits", [64 * 16 + 1, 2000])
@@ -97,6 +119,23 @@ class TestPureKernel:
         masks, pos, neg, need = random_state(0, nrays=10, nbits=nbits, density=0.6)
         # an extra ray zero on the first pair's common rows dominates it
         masks.append(masks[pos[0]] & masks[neg[0]])
-        got = adjacency_pairs(masks, pos, neg, need)
+        got = kernel(masks, pos, neg, need)
         assert (pos[0], neg[0]) not in got
         assert got == oracle_pairs(masks, pos, neg, need)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dead_ids_are_ignored(self, seed):
+        # Removed rays keep their ids, masks and transposed incidence bits.
+        # Put them first, where they would be the first witnesses: one is
+        # zero on every row, so it would dominate every pair, and each other
+        # one is zero exactly on one pair's common rows.
+        masks, pos, neg, need = random_state(seed, nrays=18, nbits=24)
+        dead_masks = [(1 << 24) - 1] + [masks[i] & masks[j] for i, j in zip(pos, neg)]
+        k = len(dead_masks)
+        masks = dead_masks + masks
+        pos = [i + k for i in pos]
+        neg = [j + k for j in neg]
+        dead = frozenset(range(k))
+        got = kernel(masks, pos, neg, need, dead)
+        assert got
+        assert got == oracle_pairs(masks, pos, neg, need, dead)

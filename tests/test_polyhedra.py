@@ -15,6 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -223,14 +224,21 @@ class TestDDRays:
         # Adjacency is decided by the combinatorial test alone.  Confirm it
         # algebraically at ranks 2 to 5: the rows on which both rays of an
         # accepted pair vanish have rank exactly d - 2.  Mask bits index the
-        # rows in the order dd_rays inserts them.
+        # rows in the order dd_rays inserts them.  The transposed incidence
+        # that dd_rays keeps incrementally must agree, on the live rays,
+        # with one rebuilt here from the masks.
         rows = facet_matrix(n)
         d = len(rows[0])
         order = polyhedra._insertion_order(rows)
         common_sets = []
 
-        def spy(masks, pos, neg, need):
-            pairs = adjacency_pairs(masks, pos, neg, need)
+        def spy(masks, zero_on, live, pos, neg, need):
+            ids = [t for t in range(len(masks)) if live >> t & 1]
+            assert set(pos) | set(neg) <= set(ids)
+            for k, on_k in enumerate(zero_on):
+                expected = sum(1 << t for t in ids if masks[t] >> k & 1)
+                assert on_k & live == expected
+            pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
             common_sets.extend(masks[i] & masks[j] for i, j in pairs)
             return pairs
 
@@ -258,6 +266,85 @@ class TestDDRays:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "['flagcone']"
+
+
+def fraction_inverse(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
+    """Inverse of a square invertible matrix by Gauss-Jordan over Fraction."""
+    d = len(rows)
+    eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rank, _, rre = gauss_pivots([row + e for row, e in zip(rows, eye)])
+    assert rank == d
+    return [row[d:] for row in rre]
+
+
+def primitive(v: list[Fraction]) -> tuple[int, ...]:
+    """Positive multiple of v with coprime integer entries."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def random_basis(rng: random.Random, d: int) -> list[tuple[int, ...]]:
+    """A full-rank d x d integer matrix with a determinant other than +-1."""
+    while True:
+        rows = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d)]
+        if gauss_pivots(rows)[0] < d:
+            continue
+        inv = fraction_inverse(rows)
+        if any(x.denominator != 1 for row in inv for x in row):
+            return rows
+
+
+class TestInitialBasis:
+    # dd_rays starts from the rays of the cone cut out by d independent
+    # rows: the columns of their inverse, found by integer elimination.
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_inverse_columns_match_fraction_inverse(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(5):
+            B = random_basis(rng, d)
+            inv = fraction_inverse(B)
+            cols = polyhedra._inverse_columns(B)
+            assert cols == [primitive([inv[i][j] for i in range(d)]) for j in range(d)]
+            for j, col in enumerate(cols):
+                assert gcd(*col) == 1
+                for i, row in enumerate(B):
+                    value = sum(a * b for a, b in zip(row, col))
+                    assert value > 0 if i == j else value == 0
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_independent_rows_match_greedy_rank(self, d):
+        # Mix in combinations of earlier rows, which must be skipped.
+        rng = random.Random(200 + d)
+        rows: list[tuple[int, ...]] = []
+        for _ in range(2 * d):
+            if rows and rng.random() < 0.4:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.randint(-4, 4) for _ in range(d)))
+        expected: list[int] = []
+        for k in range(len(rows)):
+            if gauss_pivots([rows[i] for i in expected + [k]])[0] > len(expected):
+                expected.append(k)
+        for limit in (1, d - 1, d):
+            assert polyhedra._independent_rows(rows, limit) == expected[:limit]
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([(0, 0, 0)], 0),
+        ([(2, -1, 3), (-4, 2, -6)], 1),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)], 2),
+    ])
+    def test_rank_deficient_rows_not_pointed(self, rows, rank):
+        with pytest.raises(NotPointed, match=r"^inequality rows have rank %d < 3$" % rank):
+            dd_rays(rows)
 
 
 class TestBlockerConeCounts:
