@@ -5,10 +5,13 @@ arbitrary-precision rational data.  It converts between the two standard
 descriptions of a cone: dd_rays turns a system of inequalities into the
 complete list of extreme rays, and dd_facets goes back from generators to
 an irredundant set of facet normals.  Everything is exact; there is no
-floating point anywhere on a decision path.
+floating point anywhere on a decision path, and integer input builds no
+Fraction.  One fraction-free echelon routine, _independent_rows, gives
+matrix_rank, the span in dd_facets and the first d independent rows of
+dd_rays.
 
-The double description implementation starts from the d rays cut out by
-the first d independent rows (found by integer elimination) and inserts the
+The double description implementation starts from the rays of those d
+rows (the columns of their inverse, _inverse_columns) and inserts the
 other inequality rows one at a time, in descending lexicographic order,
 keeping the extreme rays of the intermediate cone as tuples of plain
 Python ints.  Each ray keeps one id for the whole run.  Its zero set over
@@ -78,9 +81,9 @@ Scalar = int | Fraction
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A rectangular matrix of exact rationals, at least 1 x 1."""
+    """A rectangular matrix of exact int or Fraction entries, at least 1 x 1."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.entries or not self.entries[0]:
@@ -101,9 +104,6 @@ class RationalMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,6 @@ class Ray:
             g = gcd(g, x)
         if g != 1:
             raise ValueError("ray coordinates are not primitive (gcd %d)" % g)
-
-    def dot(self, row: Sequence[Scalar]):
-        return sum(c * x for c, x in zip(row, self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -162,10 +159,11 @@ def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _as_rows(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> list[tuple[Fraction, ...]]:
+def _as_rows(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> list[Sequence[Scalar]]:
+    """The rows of A as given, after checking that A is a nonempty rectangle."""
     if isinstance(A, RationalMatrix):
         return list(A.entries)
-    rows = [tuple(Fraction(x) for x in row) for row in A]
+    rows = list(A)
     if not rows or not rows[0]:
         raise EmptyInput("matrix must have at least one row and column")
     width = len(rows[0])
@@ -174,37 +172,15 @@ def _as_rows(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> list[tuple[Fract
     return rows
 
 
-def matrix_rank(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    rows = _as_rows(A)
-    mat = [list(r) for r in _integer_rows(rows)]
-    if not mat:
-        return 0
-    m, ncols = len(mat), len(mat[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, ncols):
-                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
     """Indices of the integer rows that are independent of the rows before them.
 
-    Greedy in the given order, stopping once `limit` rows are picked.  Each
-    picked row is kept reduced against the earlier ones by fraction-free
-    elimination and divided by its gcd, so entries stay small integers.
+    Greedy in the given order, stopping once `limit` rows are picked, so
+    with `limit` the column count it returns a row basis.  This one echelon
+    routine serves matrix_rank, the dd_rays initial basis and the dd_facets
+    span.  Each row is reduced against the picked rows by fraction-free
+    elimination and divided by its gcd after every step, so entries stay
+    small even on dense input.
     """
     picked: list[int] = []
     pivots: list[tuple[int, list[int]]] = []
@@ -215,15 +191,23 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
             if f:
                 p = base[col]
                 work = [p * a - f * b for a, b in zip(work, base)]
+                g = gcd(*work)
+                if g > 1:
+                    work = [x // g for x in work]
         lead = next((c for c, x in enumerate(work) if x), None)
         if lead is None:
             continue
-        g = gcd(*work)
-        pivots.append((lead, [x // g for x in work]))
+        pivots.append((lead, work))
         picked.append(k)
         if len(picked) == limit:
             break
     return picked
+
+
+def matrix_rank(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank: the number of independent rows of A scaled to integers."""
+    rows = _as_rows(A)
+    return len(_independent_rows(_integer_rows(rows), len(rows[0])))
 
 
 def _inverse_columns(B: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -343,12 +327,12 @@ def dd_rays(
     progress, when given, is called as progress(step, total, nrays) after
     each insertion.
     """
-    frac_rows = _as_rows(A)
-    d = len(frac_rows[0])
+    given = _as_rows(A)
+    d = len(given[0])
     if d > MAX_COLS:
         raise DimensionOverflow("cone dimension %d exceeds %d" % (d, MAX_COLS))
 
-    rows = _insertion_order(frac_rows)
+    rows = _insertion_order(given)
     m = len(rows)
 
     basis_idx = _independent_rows(rows, d)
@@ -421,29 +405,6 @@ def dd_rays(
     return [Ray(coords) for coords in sorted([rays[t] for t in live])]
 
 
-def _gram_solve(U: list[tuple[int, ...]], rhs: Sequence[Scalar]) -> list[Fraction]:
-    """Solve (U U^T) c = rhs for full-row-rank U, by Gauss-Jordan."""
-    s = len(U)
-    aug = [[Fraction(sum(x * y for x, y in zip(U[i], U[j]))) for j in range(s)]
-           + [Fraction(rhs[i])] for i in range(s)]
-    for c in range(s):
-        piv = next(i for i in range(c, s) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for i in range(s):
-            if i != c and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][s] for i in range(s)]
-
-
-def _span_coords(U: list[tuple[int, ...]], vec: Sequence[Scalar]) -> list[Fraction]:
-    """Coefficients c with sum c_i U_i = vec, for vec in the row space of U."""
-    rhs = [sum(Fraction(a) * Fraction(x) for a, x in zip(row, vec)) for row in U]
-    return _gram_solve(U, rhs)
-
-
 def dd_facets(
     rays: Sequence[Ray] | Sequence[Sequence[Scalar]],
     *,
@@ -452,34 +413,33 @@ def dd_facets(
     """Irredundant facet normals of the cone generated by the given rays.
 
     By duality the facet normals of cone(R) are the extreme rays of
-    {a : R a >= 0}.  When the rays do not span the ambient space the
-    computation happens inside their linear span and the reported normals
-    lie in that span; facets are then facets of the cone within it.
-    Rows come out canonicalized and sorted lexicographically.
+    {a : R a >= 0}.  Generators are scaled to coprime integers first
+    (positive scaling keeps the cone) and zero ones are ignored.  When they
+    span only an s-dimensional subspace, s < d, the facets are those of the
+    cone within that span: with U the s independent generator rows, they
+    are the vectors U^T c with (U r) . c >= 0 for every generator r.  The
+    integer rows U r have rank s, so dd_rays on them gives the c's with no
+    linear solve.  Rows come out as primitive integer vectors, sorted
+    lexicographically.
     """
     if len(rays) == 0:
         raise EmptyInput("no rays given")
-    coord_rows = [tuple(r.coords) if isinstance(r, Ray) else tuple(int(x) for x in r)
-                  for r in rays]
-    d = len(coord_rows[0])
-    span_rows = [coord_rows[k] for k in _independent_rows(coord_rows, d)]
-    s = len(span_rows)
-    if s == 0:
+    given = _as_rows([r.coords if isinstance(r, Ray) else r for r in rays])
+    d = len(given[0])
+    gens = _integer_rows(given)
+    U = [gens[k] for k in _independent_rows(gens, d)]
+    if not U:
         raise ZeroVector("all rays are zero vectors")
-    if s == d:
-        normals = dd_rays(coord_rows, progress=progress)
-        return RationalMatrix.from_rows(n.coords for n in normals)
-
-    U = span_rows
-    reduced = [_span_coords(U, row) for row in coord_rows]
-    normals_low = dd_rays(reduced, progress=progress)
-    lifted = []
-    for nl in normals_low:
-        coeff = _gram_solve(U, nl.coords)
-        vec = [sum(coeff[i] * U[i][j] for i in range(s)) for j in range(d)]
-        lifted.append(canonicalize(vec).coords)
-    lifted.sort()
-    return RationalMatrix.from_rows(lifted)
+    if len(U) == d:
+        normals = [n.coords for n in dd_rays(given, progress=progress)]
+    else:
+        images = [[sum([a * x for a, x in zip(u, g)]) for u in U] for g in gens]
+        normals = []
+        for c in dd_rays(images, progress=progress):
+            lifted = [sum([a * x for a, x in zip(c.coords, col)]) for col in zip(*U)]
+            normals.append(canonicalize(lifted).coords)
+        normals.sort()
+    return RationalMatrix(tuple(normals))
 
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

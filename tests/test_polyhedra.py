@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcone import polyhedra
+from flagcone.cone import facet_system
 from flagcone.intervals import enumerate_antichains, blockers
 from flagcone.polyhedra import (
     DimensionOverflow,
@@ -152,10 +153,27 @@ class TestMatrixRank:
         A = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, 2], [0, 1]])
         assert matrix_rank(A) == 2
 
-    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                    min_size=1, max_size=6))
+    @given(st.integers(1, 8).flatmap(lambda width: st.lists(
+        st.one_of(
+            st.just([0] * width),
+            st.lists(st.one_of(st.integers(-4, 4),
+                               st.fractions(-4, 4, max_denominator=6)),
+                     min_size=width, max_size=width),
+        ),
+        min_size=1, max_size=8)))
     def test_matches_gauss_oracle(self, rows):
         assert matrix_rank(rows) == gauss_pivots([tuple(r) for r in rows])[0]
+
+    def test_dense_large_entries(self):
+        # Without a gcd step after each elimination the entries of a dense
+        # matrix grow with every pivot.  One row is a combination of others.
+        rng = random.Random(24)
+        rows = [tuple(rng.randint(-10**6, 10**6) for _ in range(24)) for _ in range(23)]
+        coeffs = [rng.randint(-5, 5) for _ in rows]
+        planted = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(24))
+        rows.insert(11, planted)
+        assert gauss_pivots(rows)[0] == 23
+        assert matrix_rank(rows) == 23
 
 
 class TestDDRays:
@@ -187,7 +205,7 @@ class TestDDRays:
         rows = facet_matrix(3)
         d = len(rows[0])
         for ray in dd_rays(rows):
-            vals = [ray.dot(row) for row in rows]
+            vals = [sum(a * x for a, x in zip(row, ray.coords)) for row in rows]
             assert all(v >= 0 for v in vals)
             active = [row for row, v in zip(rows, vals) if v == 0]
             assert matrix_rank(active) == d - 1
@@ -248,6 +266,18 @@ class TestDDRays:
         for common in common_sets:
             active = [row for k, row in enumerate(order) if common >> k & 1]
             assert (matrix_rank(active) if active else 0) == d - 2
+
+    def test_integer_input_builds_no_fraction(self, monkeypatch):
+        # Integer rows stay integers on every path: rank, enumeration and
+        # the lower-dimensional facet computation.
+        def no_fraction(*args):
+            raise AssertionError("Fraction built from integer input")
+
+        monkeypatch.setattr(polyhedra, "Fraction", no_fraction)
+        assert matrix_rank(facet_matrix(4)) == 16
+        assert len(dd_rays(facet_system(3).normal_matrix)) == 13
+        F = dd_facets([Ray((1, 1, 0, 0)), Ray((0, 1, 1, 0)), Ray((1, 2, 1, 0))])
+        assert F.entries == ((-1, 1, 2, 0), (2, 1, -1, 0))
 
     def test_needs_only_the_standard_library(self):
         # The DD core runs on plain ints: a rank-5 enumeration in a fresh
@@ -367,6 +397,37 @@ class TestBlockerConeCounts:
         assert len(dd_rays(facet_matrix(4))) == 41
 
 
+def gram_solve(basis: list[tuple[int, ...]], rhs: list) -> list[Fraction]:
+    """The c with (B B^T) c = rhs, for B of full row rank, over Fraction."""
+    s = len(basis)
+    gram = [[sum(x * y for x, y in zip(basis[i], basis[j])) for j in range(s)] + [rhs[i]]
+            for i in range(s)]
+    rank, _, rre = gauss_pivots(gram)
+    assert rank == s
+    return [row[s] for row in rre]
+
+
+def gram_facets(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Facet normals of cone(gens) inside its span, via Gram solves.
+
+    Each generator becomes its coordinates over a row basis B of the
+    generators, the facets are computed there, and each is lifted back to
+    the vector B^T (B B^T)^-1 y of the span.
+    """
+    basis: list[tuple[int, ...]] = []
+    for g in gens:
+        if gauss_pivots(basis + [g])[0] > len(basis):
+            basis.append(g)
+    coords = [gram_solve(basis, [sum(x * y for x, y in zip(b, g)) for b in basis])
+              for g in gens]
+    lifted = []
+    for y in dd_rays(coords):
+        c = gram_solve(basis, list(y.coords))
+        lifted.append(primitive([sum(ci * b[j] for ci, b in zip(c, basis))
+                                 for j in range(len(gens[0]))]))
+    return sorted(lifted)
+
+
 class TestDDFacets:
     def test_standard_basis(self):
         rays = [Ray((1, 0, 0)), Ray((0, 1, 0)), Ray((0, 0, 1))]
@@ -394,6 +455,40 @@ class TestDDFacets:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             dd_facets([])
+
+    def test_rational_generators_scaled_exactly(self):
+        # Positive scaling keeps the cone; truncating 1/2 to 0 would not.
+        F = dd_facets([[Fraction(1, 2), Fraction(1, 2)], [0, 1], [0, 0]])
+        assert set(F.entries) == {(1, 0), (-1, 1)}
+        with pytest.raises(ZeroVector):
+            dd_facets([[0, 0], [Fraction(0), 0]])
+
+    def test_lower_dimensional_cones(self):
+        # Generators spanning s < d dimensions: compare with the facets
+        # found by solving the Gram system over Fraction, and check each
+        # normal directly.
+        rng = random.Random(31)
+        checked = 0
+        while checked < 60:
+            d = rng.randint(2, 6)
+            s = rng.randint(1, d - 1)
+            basis = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(s)]
+            gens = [tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d))
+                    for coeffs in ([rng.randint(-1, 3) for _ in range(s)]
+                                   for _ in range(rng.randint(1, s + 4)))]
+            if gauss_pivots(gens)[0] != s:
+                continue
+            expected = gram_facets(gens)
+            if not expected:  # the cone is its whole span: no facets
+                continue
+            normals = [tuple(row) for row in dd_facets(gens).entries]
+            assert normals == expected
+            for a in normals:
+                assert gauss_pivots(gens + [a])[0] == s
+                values = [sum(x * y for x, y in zip(a, g)) for g in gens]
+                assert min(values) >= 0
+                assert gauss_pivots([g for g, v in zip(gens, values) if v == 0])[0] == s - 1
+            checked += 1
 
 
 class TestCSV:
