@@ -7,7 +7,8 @@ antichain's blocker family.  This module materializes those facets, decides
 membership two independent ways (facet evaluation and the projection
 recursion), enumerates the extreme rays of the cone by double description,
 reproduces them constructively by lifting and convolution, and builds the
-polar cone spanned by the normalized limit flag vectors.
+polar cone spanned by the normalized limit flag vectors, whose facets are
+those extreme rays.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .polyhedra import (
     RationalMatrix,
     Ray,
     canonicalize,
-    dd_facets,
     dd_rays,
     matrix_rank,
 )
@@ -431,9 +431,9 @@ class ConeDescription:
     """V- and H-descriptions of the polar (closed flag-vector) cone.
 
     Generators are the normalized limit flag vectors: one 0/1 vector per
-    antichain, indicating its blocker family.  Facets are the irredundant
-    inequalities cutting out the cone they span, computed by duality; the
-    facet normals are exactly the extreme forms of the inequality cone.
+    antichain, indicating its blocker family.  By polarity the facet
+    normals of the cone they span are exactly the extreme rays of the
+    inequality cone, so `facets` holds those rays, taken from extreme_rays.
     """
 
     n: int
@@ -446,11 +446,12 @@ def flag_cone(
     *,
     progress: Callable[[int, int, int], None] | None = None,
 ) -> ConeDescription:
-    """The closed cone spanned by flag vectors of rank-(n+1) posets."""
-    if n > MAX_DD_AMBIENT:
-        raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
-    fs = facet_system(n)
-    facets = dd_facets(
-        [normal for _, normal in fs.facets], progress=progress
-    )
-    return ConeDescription(n, fs.facets, facets)
+    """The closed cone spanned by flag vectors of rank-(n+1) posets.
+
+    The facets are the rays of extreme_rays(n) in its double description
+    output order (lexicographic); progress is passed on to that run, and a
+    cached report runs nothing.
+    """
+    report = extreme_rays(n, progress=progress)
+    facets = RationalMatrix(tuple(sorted(report.ray_set)))
+    return ConeDescription(n, facet_system(n).facets, facets)

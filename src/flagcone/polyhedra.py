@@ -1,14 +1,11 @@
 """Exact rational linear algebra and the double description method.
 
 This module handles pointed polyhedral cones {x : Ax >= 0} with
-arbitrary-precision rational data.  It converts between the two standard
-descriptions of a cone: dd_rays turns a system of inequalities into the
-complete list of extreme rays, and dd_facets goes back from generators to
-an irredundant set of facet normals.  Everything is exact; there is no
+arbitrary-precision rational data: dd_rays turns a system of inequalities
+into the complete list of extreme rays.  Everything is exact; there is no
 floating point anywhere on a decision path, and integer input builds no
 Fraction.  One fraction-free echelon routine, _independent_rows, gives
-matrix_rank, the span in dd_facets and the first d independent rows of
-dd_rays.
+matrix_rank and the first d independent rows of dd_rays.
 
 The double description implementation starts from the rays of those d
 rows (the columns of their inverse, _inverse_columns) and inserts the
@@ -29,8 +26,6 @@ the same positive ray, and usually rules that one out too.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,12 +40,8 @@ __all__ = [
     "RationalMatrix",
     "ZeroVector",
     "canonicalize",
-    "dd_facets",
     "dd_rays",
     "matrix_rank",
-    "matrix_to_csv",
-    "parse_csv",
-    "rays_to_csv",
 ]
 
 MAX_COLS = 64
@@ -92,10 +83,6 @@ class RationalMatrix:
         for row in self.entries:
             if len(row) != width:
                 raise ValueError("ragged rows in matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Scalar]]) -> RationalMatrix:
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -151,10 +138,19 @@ def canonicalize(v: Sequence[Scalar]) -> Ray:
 
 
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Scale each row to coprime integers, dropping zero rows."""
+    """Scale each row to coprime integers, dropping zero rows.
+
+    An all-int row is divided by its gcd; only a row holding a Fraction goes
+    through canonicalize.
+    """
     out: list[tuple[int, ...]] = []
     for row in rows:
-        if any(row):
+        if not any(row):
+            continue
+        if all(isinstance(x, int) for x in row):
+            g = gcd(*row)
+            out.append(tuple([x // g for x in row]))
+        else:
             out.append(canonicalize(row).coords)
     return out
 
@@ -177,10 +173,10 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 
     Greedy in the given order, stopping once `limit` rows are picked, so
     with `limit` the column count it returns a row basis.  This one echelon
-    routine serves matrix_rank, the dd_rays initial basis and the dd_facets
-    span.  Each row is reduced against the picked rows by fraction-free
-    elimination and divided by its gcd after every step, so entries stay
-    small even on dense input.
+    routine serves matrix_rank and the dd_rays initial basis.  Each row is
+    reduced against the picked rows by fraction-free elimination and
+    divided by its gcd after every step, so entries stay small even on
+    dense input.
     """
     picked: list[int] = []
     pivots: list[tuple[int, list[int]]] = []
@@ -404,85 +400,3 @@ def dd_rays(
 
     return [Ray(coords) for coords in sorted([rays[t] for t in live])]
 
-
-def dd_facets(
-    rays: Sequence[Ray] | Sequence[Sequence[Scalar]],
-    *,
-    progress: Callable[[int, int, int], None] | None = None,
-) -> RationalMatrix:
-    """Irredundant facet normals of the cone generated by the given rays.
-
-    By duality the facet normals of cone(R) are the extreme rays of
-    {a : R a >= 0}.  Generators are scaled to coprime integers first
-    (positive scaling keeps the cone) and zero ones are ignored.  When they
-    span only an s-dimensional subspace, s < d, the facets are those of the
-    cone within that span: with U the s independent generator rows, they
-    are the vectors U^T c with (U r) . c >= 0 for every generator r.  The
-    integer rows U r have rank s, so dd_rays on them gives the c's with no
-    linear solve.  Rows come out as primitive integer vectors, sorted
-    lexicographically.
-    """
-    if len(rays) == 0:
-        raise EmptyInput("no rays given")
-    given = _as_rows([r.coords if isinstance(r, Ray) else r for r in rays])
-    d = len(given[0])
-    gens = _integer_rows(given)
-    U = [gens[k] for k in _independent_rows(gens, d)]
-    if not U:
-        raise ZeroVector("all rays are zero vectors")
-    if len(U) == d:
-        normals = [n.coords for n in dd_rays(given, progress=progress)]
-    else:
-        images = [[sum([a * x for a, x in zip(u, g)]) for u in U] for g in gens]
-        normals = []
-        for c in dd_rays(images, progress=progress):
-            lifted = [sum([a * x for a, x in zip(c.coords, col)]) for col in zip(*U)]
-            normals.append(canonicalize(lifted).coords)
-        normals.sort()
-    return RationalMatrix(tuple(normals))
-
-
-def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def rays_to_csv(rays: Sequence[Ray], header: Sequence[str]) -> str:
-    """One ray per line as exact integers, preceded by a header row.
-
-    Labels containing commas (rank set names like {1,2}) come out quoted.
-    """
-    for r in rays:
-        if len(r.coords) != len(header):
-            raise ValueError("header length does not match ray dimension")
-    return _write_csv(header, ([str(x) for x in r.coords] for r in rays))
-
-
-def matrix_to_csv(A: RationalMatrix, header: Sequence[str]) -> str:
-    """One matrix row per line; entries are exact (integers when integral)."""
-    if A.ncols != len(header):
-        raise ValueError("header length does not match matrix width")
-    rows = ([str(x.numerator) if x.denominator == 1 else str(x) for x in row]
-            for row in A.entries)
-    return _write_csv(header, rows)
-
-
-def parse_csv(text: str) -> tuple[list[str], list[tuple[Fraction, ...]]]:
-    """Inverse of the CSV emitters: header labels plus exact rows.
-
-    Records whose first cell starts with '#' are comments and are skipped,
-    so count footers survive a round trip.
-    """
-    records = [
-        rec
-        for rec in csv.reader(io.StringIO(text))
-        if rec and not rec[0].startswith("#")
-    ]
-    if not records:
-        raise EmptyInput("empty CSV input")
-    header = records[0]
-    rows = [tuple(Fraction(cell) for cell in rec) for rec in records[1:]]
-    return header, rows

@@ -8,8 +8,8 @@ data errors return 2; a form outside the cone returns 1.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +17,6 @@ from flagcone import ranksets
 from flagcone.cli import main
 from flagcone.cone import facet_system
 from flagcone.intervals import IntervalSystem
-from flagcone.polyhedra import parse_csv, rays_to_csv
 from flagcone.poset import WitnessSpec, parse_poset, random_graded_poset, format_poset
 
 
@@ -244,16 +243,23 @@ class TestPolar:
             main(["polar", "--rank", "6"])
         assert exc.value.code == 2
 
+    # SHA-256 of the whole stdout of `polar --rank R`, so that a change in
+    # how the facets are computed cannot change what polar prints.
+    @pytest.mark.parametrize("rank, digest", [
+        (1, "8f8542374ba8b530f25621ebefda523b3c321b76ae4b9fb74cd712226fc15534"),
+        (2, "564b6c4fc4020ada3143e07d4d02e3424976bd5488404329c98ecfd76022dc9b"),
+        (3, "812757f30f825d4e8dc1af07eb892e621ae8f00344f06933d5e5411838262070"),
+        (4, "b706dd05fcf11143db611d4614ea44d2b5d65402c8fed100a376471188ea4522"),
+        (5, "8d625873783c2857ce26c153885243f72700ef52cf5a2fd9f2192a8132293214"),
+        pytest.param(
+            6, "3c964bf9beab37cec4d2624fdd071c90ddc918d036ac629e51a249ce2046f740",
+            marks=pytest.mark.slow),
+    ])
+    def test_stdout_digest(self, capsys, rank, digest):
+        argv = ["polar", "--rank", str(rank)]
+        if rank >= 6:
+            argv += ["--allow-slow", "--quiet"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-class TestCsvCommentRecords:
-    def test_parse_csv_skips_count_footer(self):
-        from flagcone.polyhedra import canonicalize
-
-        rs = [canonicalize([1, 0]), canonicalize([2, 3])]
-        text = rays_to_csv(rs, ["a", "b"]) + "# count=2\n"
-        header, rows = parse_csv(text)
-        assert header == ["a", "b"]
-        assert rows == [
-            (Fraction(1), Fraction(0)),
-            (Fraction(2), Fraction(3)),
-        ]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcone import ranksets
+from flagcone import cone, polyhedra, ranksets
 from flagcone.algebra import Form, convolve, eval_poset, h_form, reflect, shift
 from flagcone.cone import (
     DegreeTooLarge,
@@ -315,6 +315,22 @@ class TestFlagCone:
                     if sum(a * b for a, b in zip(row, g.coords)) == 0
                 ]
                 assert matrix_rank(active) == (1 << n) - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_facets_reuse_extreme_rays(self, n, monkeypatch):
+        # By polarity the facets are the extreme rays, so once extreme_rays
+        # has run, flag_cone runs no double description of its own.
+        extreme_rays(n)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dd_rays(*args, **kwargs)
+
+        monkeypatch.setattr(polyhedra, "dd_rays", spy)
+        monkeypatch.setattr(cone, "dd_rays", spy)
+        flag_cone(n)
+        assert calls == []
 
     def test_generators_are_witness_limits(self):
         # normalized witness flag vectors approach the generator with O(1/N)

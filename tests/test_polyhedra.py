@@ -34,12 +34,8 @@ from flagcone.polyhedra import (
     ZeroVector,
     adjacency_pairs,
     canonicalize,
-    dd_facets,
     dd_rays,
     matrix_rank,
-    matrix_to_csv,
-    parse_csv,
-    rays_to_csv,
 )
 from flagcone.ranksets import subsets
 
@@ -150,7 +146,7 @@ class TestMatrixRank:
             assert matrix_rank(mat) == 2 ** n
 
     def test_rational_entries(self):
-        A = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, 2], [0, 1]])
+        A = RationalMatrix(((Fraction(1, 2), 1), (1, 2), (0, 1)))
         assert matrix_rank(A) == 2
 
     @given(st.integers(1, 8).flatmap(lambda width: st.lists(
@@ -268,16 +264,25 @@ class TestDDRays:
             assert (matrix_rank(active) if active else 0) == d - 2
 
     def test_integer_input_builds_no_fraction(self, monkeypatch):
-        # Integer rows stay integers on every path: rank, enumeration and
-        # the lower-dimensional facet computation.
+        # Integer rows stay integers on every path: rank and enumeration.
         def no_fraction(*args):
             raise AssertionError("Fraction built from integer input")
 
         monkeypatch.setattr(polyhedra, "Fraction", no_fraction)
         assert matrix_rank(facet_matrix(4)) == 16
         assert len(dd_rays(facet_system(3).normal_matrix)) == 13
-        F = dd_facets([Ray((1, 1, 0, 0)), Ray((0, 1, 1, 0)), Ray((1, 2, 1, 0))])
-        assert F.entries == ((-1, 1, 2, 0), (2, 1, -1, 0))
+
+    def test_integer_rank_builds_no_ray(self, monkeypatch):
+        # matrix_rank divides an all-int row by its gcd directly; only a
+        # row holding a Fraction is scaled through canonicalize (and Ray).
+        def no_ray(*args):
+            raise AssertionError("Ray built from integer input")
+
+        monkeypatch.setattr(polyhedra, "Ray", no_ray)
+        assert matrix_rank(facet_matrix(4)) == 16
+        assert matrix_rank([(2, 4, 0), (0, -3, -3), (2, 1, -3), (0, 0, 0)]) == 2
+        with pytest.raises(AssertionError, match="Ray built"):
+            matrix_rank([(Fraction(1, 2), 1)])
 
     def test_needs_only_the_standard_library(self):
         # The DD core runs on plain ints: a rank-5 enumeration in a fresh
@@ -397,125 +402,11 @@ class TestBlockerConeCounts:
         assert len(dd_rays(facet_matrix(4))) == 41
 
 
-def gram_solve(basis: list[tuple[int, ...]], rhs: list) -> list[Fraction]:
-    """The c with (B B^T) c = rhs, for B of full row rank, over Fraction."""
-    s = len(basis)
-    gram = [[sum(x * y for x, y in zip(basis[i], basis[j])) for j in range(s)] + [rhs[i]]
-            for i in range(s)]
-    rank, _, rre = gauss_pivots(gram)
-    assert rank == s
-    return [row[s] for row in rre]
-
-
-def gram_facets(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Facet normals of cone(gens) inside its span, via Gram solves.
-
-    Each generator becomes its coordinates over a row basis B of the
-    generators, the facets are computed there, and each is lifted back to
-    the vector B^T (B B^T)^-1 y of the span.
-    """
-    basis: list[tuple[int, ...]] = []
-    for g in gens:
-        if gauss_pivots(basis + [g])[0] > len(basis):
-            basis.append(g)
-    coords = [gram_solve(basis, [sum(x * y for x, y in zip(b, g)) for b in basis])
-              for g in gens]
-    lifted = []
-    for y in dd_rays(coords):
-        c = gram_solve(basis, list(y.coords))
-        lifted.append(primitive([sum(ci * b[j] for ci, b in zip(c, basis))
-                                 for j in range(len(gens[0]))]))
-    return sorted(lifted)
-
-
-class TestDDFacets:
-    def test_standard_basis(self):
-        rays = [Ray((1, 0, 0)), Ray((0, 1, 0)), Ray((0, 0, 1))]
-        F = dd_facets(rays)
-        got = {tuple(int(x) for x in row) for row in F.entries}
-        assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-    def test_roundtrip_on_blocker_matrices(self):
-        for n in (2, 3):
-            rows = facet_matrix(n)
-            F = dd_facets(dd_rays(rows))
-            assert {tuple(int(x) for x in r) for r in F.entries} == set(rows)
-
-    def test_fourteen_blocker_vectors_give_thirteen_facets(self):
-        generators = facet_matrix(3)
-        assert len(generators) == 14
-        F = dd_facets(generators)
-        assert F.nrows == 13
-
-    def test_subspace_cone(self):
-        F = dd_facets([Ray((1, 1, 0)), Ray((0, 0, 1))])
-        got = {tuple(int(x) for x in row) for row in F.entries}
-        assert got == {(1, 1, 0), (0, 0, 1)}
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            dd_facets([])
-
-    def test_rational_generators_scaled_exactly(self):
-        # Positive scaling keeps the cone; truncating 1/2 to 0 would not.
-        F = dd_facets([[Fraction(1, 2), Fraction(1, 2)], [0, 1], [0, 0]])
-        assert set(F.entries) == {(1, 0), (-1, 1)}
-        with pytest.raises(ZeroVector):
-            dd_facets([[0, 0], [Fraction(0), 0]])
-
-    def test_lower_dimensional_cones(self):
-        # Generators spanning s < d dimensions: compare with the facets
-        # found by solving the Gram system over Fraction, and check each
-        # normal directly.
-        rng = random.Random(31)
-        checked = 0
-        while checked < 60:
-            d = rng.randint(2, 6)
-            s = rng.randint(1, d - 1)
-            basis = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(s)]
-            gens = [tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d))
-                    for coeffs in ([rng.randint(-1, 3) for _ in range(s)]
-                                   for _ in range(rng.randint(1, s + 4)))]
-            if gauss_pivots(gens)[0] != s:
-                continue
-            expected = gram_facets(gens)
-            if not expected:  # the cone is its whole span: no facets
-                continue
-            normals = [tuple(row) for row in dd_facets(gens).entries]
-            assert normals == expected
-            for a in normals:
-                assert gauss_pivots(gens + [a])[0] == s
-                values = [sum(x * y for x, y in zip(a, g)) for g in gens]
-                assert min(values) >= 0
-                assert gauss_pivots([g for g, v in zip(gens, values) if v == 0])[0] == s - 1
-            checked += 1
-
-
-class TestCSV:
-    def test_rays_roundtrip(self):
-        rays = dd_rays(facet_matrix(2))
-        text = rays_to_csv(rays, ["{}", "{1}", "{2}", "{1,2}"])
-        header, rows = parse_csv(text)
-        assert header == ["{}", "{1}", "{2}", "{1,2}"]
-        assert [tuple(int(x) for x in row) for row in rows] == [r.coords for r in rays]
-
-    def test_matrix_roundtrip(self):
-        A = RationalMatrix.from_rows([[1, 0], [Fraction(1, 2), 3]])
-        text = matrix_to_csv(A, ["a", "b"])
-        header, rows = parse_csv(text)
-        assert header == ["a", "b"]
-        assert rows == [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(3))]
-
-    def test_header_width_checked(self):
-        with pytest.raises(ValueError):
-            rays_to_csv([Ray((1, 0))], ["only-one"])
-
-
 class TestRationalMatrix:
     def test_requires_rows(self):
         with pytest.raises(EmptyInput):
-            RationalMatrix.from_rows([])
+            RationalMatrix(())
 
     def test_requires_rectangular(self):
         with pytest.raises(ValueError):
-            RationalMatrix.from_rows([[1, 2], [3]])
+            RationalMatrix(((1, 2), (3,)))
