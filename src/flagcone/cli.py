@@ -49,13 +49,6 @@ WITNESS_K_CAP = 4
 WITNESS_RANK_CAP = 10
 
 
-def _progress_printer(label: str):
-    def progress(step: int, total: int, nrays: int) -> None:
-        print(f"{label}: step {step}/{total}, {nrays} rays", file=sys.stderr)
-
-    return progress
-
-
 def _h_text(F: Form) -> str:
     """Render a form in the h-basis, mirroring the f-basis text syntax."""
     coeffs = to_h_coeffs(F)
@@ -107,15 +100,12 @@ def cmd_facets(args: argparse.Namespace) -> int:
 
 def cmd_extremes(args: argparse.Namespace) -> int:
     n = args.rank - 1
-    progress = None
-    if args.rank >= SLOW_RANK and not args.quiet:
-        progress = _progress_printer("dd")
 
     def render(F: Form) -> str:
         return _h_text(F) if args.basis == "h" else str(F)
 
     if args.method in ("dd", "both"):
-        report = extreme_rays(n, progress=progress)
+        report = extreme_rays(n)
         tag_counts: dict[str, int] = {"lift": 0, "convolution": 0, "new": 0}
         for entry in report.rays:
             tag_counts[entry.tag] += 1
@@ -233,11 +223,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_polar(args: argparse.Namespace) -> int:
-    n = args.rank - 1
-    progress = None
-    if args.rank >= SLOW_RANK and not args.quiet:
-        progress = _progress_printer("dd")
-    desc = flag_cone(n, progress=progress)
+    desc = flag_cone(args.rank - 1)
     print(f"generators ({len(desc.generators)}):")
     for sys_, ray in desc.generators:
         print(f"  {sys_} : {' '.join(str(x) for x in ray.coords)}")
@@ -276,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dd", "generate", "both"), default="dd")
     p.add_argument("--basis", choices=("f", "h"), default="f")
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 0.6 s, mostly double description)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress")
+                   help=f"permit rank {SLOW_RANK} (about 1.3 s, mostly double description)")
     p.set_defaults(func=cmd_extremes, cap=EXTREME_RANK_CAP, min_rank=1)
 
     p = sub.add_parser("check", help="cone membership of a form file")
@@ -307,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polar", help="flag-cone generators and facets")
     _add_rank(p, EXTREME_RANK_CAP)
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 0.6 s: one double description run)")
-    p.add_argument("--quiet", action="store_true", help="suppress progress")
+                   help=f"permit rank {SLOW_RANK} (about 1.2 s: one double description run)")
     p.set_defaults(func=cmd_polar, cap=EXTREME_RANK_CAP, min_rank=1)
 
     return parser

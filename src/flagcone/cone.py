@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from . import ranksets
 from .algebra import (
     Form,
-    compress,
+    Scalar,
     convolve,
     eval_system,
     factor_once,
@@ -102,7 +102,8 @@ class FacetSystem:
     Facets are ordered canonically: each antichain's intervals sorted by
     (lo, hi), antichains sorted lexicographically by that interval list.
     The normal of the antichain I is the 0/1 indicator of its blocker
-    family over the rank sets in ascending mask order.
+    family over the rank sets in ascending mask order, so a facet's value
+    on a coefficient vector is the sum over its support (see values).
     """
 
     n: int
@@ -111,6 +112,19 @@ class FacetSystem:
     @property
     def normal_matrix(self) -> list[tuple[int, ...]]:
         return [normal.coords for _, normal in self.facets]
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per facet, the coordinates where its 0/1 normal is 1."""
+        return tuple(
+            tuple(c for c, z in enumerate(normal.coords) if z)
+            for _, normal in self.facets
+        )
+
+    def values(self, vec: Sequence[Scalar]) -> Iterator[Scalar]:
+        """The facet values of a coefficient vector, lazily, in facet order."""
+        for support in self.supports:
+            yield sum([vec[c] for c in support])
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -175,14 +189,14 @@ def _check_degree(F: Form) -> int:
 def contains(F: Form) -> MembershipResult:
     """Is the form nonnegative on every graded poset of its rank?
 
-    Evaluates the blocker sum for every facet antichain.  On failure the
-    result carries the first violated antichain and a concrete witness
-    recipe; see MembershipResult.
+    Evaluates the blocker sum of each facet antichain in canonical order
+    (FacetSystem.values) and stops at the first negative one.  On failure
+    the result carries that antichain and a concrete witness recipe; see
+    MembershipResult.
     """
     n = _check_degree(F)
-    vec = F.vector()
-    for sys_, normal in facet_system(n).facets:
-        value = sum(c for c, z in zip(vec, normal.coords) if z)
+    fs = facet_system(n)
+    for (sys_, _), value in zip(fs.facets, fs.values(F.vector())):
         if value < 0:
             witness = None
             witness_value = None
@@ -232,17 +246,18 @@ def is_extreme(F: Form) -> bool:
     """Does the form span an extreme ray of its cone?
 
     True exactly when the facet normals vanishing on F have rank 2^n - 1,
-    one less than the ambient dimension.  Requires the form to be in the
-    cone and nonzero.
+    one less than the ambient dimension.  One sweep over the facet values
+    both checks membership and collects the vanishing normals.  A form
+    outside the cone raises NotInCone naming the first violated antichain,
+    the one contains(F).violated reports; a zero form is not extreme.
     """
-    result = contains(F)
-    if not result:
-        raise NotInCone(f"form violates the facet at {result.violated}")
-    n = F.degree - 1
-    vec = F.vector()
+    n = _check_degree(F)
+    fs = facet_system(n)
     active = []
-    for _, normal in facet_system(n).facets:
-        if sum(c for c, z in zip(vec, normal.coords) if z) == 0:
+    for (sys_, normal), value in zip(fs.facets, fs.values(F.vector())):
+        if value < 0:
+            raise NotInCone(f"form violates the facet at {sys_}")
+        if value == 0:
             active.append(normal.coords)
     target = (1 << n) - 1
     if not active:
@@ -252,11 +267,16 @@ def is_extreme(F: Form) -> bool:
 
 @dataclass(frozen=True)
 class ExtremeEntry:
-    """One extreme ray: its form, provenance tag, and active facet indices."""
+    """One extreme ray: its form, provenance tag and active facet indices.
+
+    `ray` holds the primitive integer coordinates dd_rays returned, so
+    ExtremeReport.ray_set needs no conversion back from the form.
+    """
 
     form: Form
     tag: Tag
     active: tuple[int, ...]
+    ray: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -275,19 +295,23 @@ class ExtremeReport:
 
     @cached_property
     def ray_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(form_to_ray(e.form).coords for e in self.rays)
+        return frozenset(e.ray for e in self.rays)
 
 
 def classify(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
     """Provenance of an extreme form relative to lower-rank extreme lists.
 
-    `lift` when the support misses a letter (the compression drops the
-    degree), else `convolution` when the form factors and both factors are
-    lower-rank extremes up to scaling, else `new`.  Factor matching tries
-    the factorization as returned and with both factors negated; the two
-    flips cancel, so either joint assignment reconstructs F.
+    `lift` when the union of the support sets misses a letter (so the
+    compression drops the degree), else `convolution` when the form factors
+    and both factors are lower-rank extremes up to scaling, else `new`.
+    Factor matching tries the factorization as returned and with both
+    factors negated; the two flips cancel, so either joint assignment
+    reconstructs F.
     """
-    if compress(F) != F:
+    union = 0
+    for s, _ in F.terms():
+        union |= s
+    if union != (1 << F.degree - 1) - 1:
         return "lift"
     split = factor_once(F)
     if split is not None:
@@ -309,17 +333,13 @@ def classify(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
 _REPORT_CACHE: dict[int, ExtremeReport] = {}
 
 
-def extreme_rays(
-    n: int,
-    *,
-    progress: Callable[[int, int, int], None] | None = None,
-) -> ExtremeReport:
+def extreme_rays(n: int) -> ExtremeReport:
     """All extreme rays of the degree-(n+1) cone, by double description.
 
-    Each ray is converted to a form and classified against the lower-rank
-    reports.  Ambients up to 4 take well under a second; n = 5 (rank 6)
-    takes about 1.3 s on one 2.1 GHz x86-64 core (perfbench enumerate-r6).
-    Reports are cached per ambient.
+    Each ray keeps its integer coordinates, is converted to a form, and is
+    classified against the lower-rank reports.  Ambients up to 4 take well
+    under a second; n = 5 (rank 6) takes about 1.15 s on one 2.1 GHz
+    x86-64 core (perfbench enumerate-r6).  Reports are cached per ambient.
     """
     cached = _REPORT_CACHE.get(n)
     if cached is not None:
@@ -327,21 +347,13 @@ def extreme_rays(
     if n > MAX_DD_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
     fs = facet_system(n)
-    rays = dd_rays(fs.normal_matrix, progress=progress)
+    rays = dd_rays(fs.normal_matrix)
     lower = tuple(extreme_rays(k) for k in range(n))
-    # The normals are 0/1, so a dot product is a sum over the support.
-    supports = [
-        [c for c, z in enumerate(normal.coords) if z] for _, normal in fs.facets
-    ]
     entries = []
     for ray in rays:
-        coords = ray.coords
         F = ray_to_form(ray)
-        active = tuple(
-            i for i, support in enumerate(supports)
-            if sum([coords[c] for c in support]) == 0
-        )
-        entries.append(ExtremeEntry(F, classify(F, lower), active))
+        active = tuple(i for i, v in enumerate(fs.values(ray.coords)) if v == 0)
+        entries.append(ExtremeEntry(F, classify(F, lower), active, ray.coords))
     report = ExtremeReport(n, tuple(entries))
     _REPORT_CACHE[n] = report
     return report
@@ -441,17 +453,12 @@ class ConeDescription:
     facets: RationalMatrix
 
 
-def flag_cone(
-    n: int,
-    *,
-    progress: Callable[[int, int, int], None] | None = None,
-) -> ConeDescription:
+def flag_cone(n: int) -> ConeDescription:
     """The closed cone spanned by flag vectors of rank-(n+1) posets.
 
     The facets are the rays of extreme_rays(n) in its double description
-    output order (lexicographic); progress is passed on to that run, and a
-    cached report runs nothing.
+    output order (lexicographic); a cached report runs nothing.
     """
-    report = extreme_rays(n, progress=progress)
+    report = extreme_rays(n)
     facets = RationalMatrix(tuple(sorted(report.ray_set)))
     return ConeDescription(n, facet_system(n).facets, facets)

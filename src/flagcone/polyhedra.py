@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "DimensionOverflow",
@@ -300,11 +300,7 @@ def _insertion_order(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     return sorted(set(_integer_rows(rows)), reverse=True)
 
 
-def dd_rays(
-    A: RationalMatrix | Sequence[Sequence[Scalar]],
-    *,
-    progress: Callable[[int, int, int], None] | None = None,
-) -> list[Ray]:
+def dd_rays(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> list[Ray]:
     """Extreme rays of the pointed cone {x : Ax >= 0}.
 
     The rows are scaled to coprime integers, deduplicated, and inserted in
@@ -319,9 +315,6 @@ def dd_rays(
     canonical (primitive integer, fixed direction) and sorted
     lexicographically by coordinate vector, so the result is independent
     of the input row order.
-
-    progress, when given, is called as progress(step, total, nrays) after
-    each insertion.
     """
     given = _as_rows(A)
     d = len(given[0])
@@ -351,7 +344,7 @@ def dd_rays(
     remaining = [k for k in range(m) if k not in in_basis]
     need = d - 2
 
-    for step, k in enumerate(remaining):
+    for k in remaining:
         support = [(c, x) for c, x in enumerate(rows[k]) if x]
         bit = 1 << k
         keep: list[int] = []
@@ -395,8 +388,6 @@ def dd_rays(
                 rays[t] = None
                 live_bits ^= 1 << t
             live = keep
-        if progress is not None:
-            progress(step + 1, len(remaining), len(live))
 
     return [Ray(coords) for coords in sorted([rays[t] for t in live])]
 

@@ -258,7 +258,7 @@ class TestPolar:
     def test_stdout_digest(self, capsys, rank, digest):
         argv = ["polar", "--rank", str(rank)]
         if rank >= 6:
-            argv += ["--allow-slow", "--quiet"]
+            argv.append("--allow-slow")
         code, out = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

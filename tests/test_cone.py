@@ -9,9 +9,12 @@ from fractions import Fraction
 import pytest
 
 from flagcone import cone, polyhedra, ranksets
-from flagcone.algebra import Form, convolve, eval_poset, h_form, reflect, shift
+from flagcone.algebra import (
+    Form, compress, convolve, eval_poset, h_form, reflect, shift,
+)
 from flagcone.cone import (
     DegreeTooLarge,
+    ExtremeReport,
     NotInCone,
     classify,
     contains,
@@ -41,6 +44,13 @@ def random_form(degree: int, rng: random.Random, lo: int = -3, hi: int = 3) -> F
         degree,
         {s: rng.randint(lo, hi) for s in ranksets.subsets(degree - 1)},
     )
+
+
+def sparse_form(degree: int, rng: random.Random) -> Form:
+    """A nonzero form on one to four rank sets, so supports often miss letters."""
+    size = 1 << (degree - 1)
+    masks = rng.sample(range(size), min(rng.randint(1, 4), size))
+    return Form(degree, {s: rng.choice((-2, -1, 1, 2, 3)) for s in masks})
 
 
 class TestFacetSystem:
@@ -166,6 +176,40 @@ class TestIsExtreme:
     def test_zero_form_not_extreme(self):
         assert not is_extreme(Form(2))
 
+    def test_one_sweep_without_contains(self, monkeypatch):
+        # The facet sweep of is_extreme decides membership itself.
+        def boom(F):
+            raise AssertionError("is_extreme called contains")
+
+        monkeypatch.setattr(cone, "contains", boom)
+        for n in range(5):
+            for entry in extreme_rays(n).rays:
+                assert is_extreme(entry.form)
+        for n in range(6):
+            assert is_extreme(Form(n + 1, {0: 1}))
+        assert not is_extreme(Form(2, {M(1): 1}))
+        assert not is_extreme(Form(3, {M(1): 1}))
+        assert not is_extreme(Form(4, {M(2): 1}))
+        assert is_extreme(BANKER)
+        assert not is_extreme(Form(2))
+        with pytest.raises(NotInCone):
+            is_extreme(Form(3, {0: -1}))
+
+    def test_outside_names_first_violated_facet(self):
+        rng = random.Random(7)
+        outside = 0
+        for degree in (2, 3, 4, 5):
+            for _ in range(40):
+                F = random_form(degree, rng)
+                result = contains(F)
+                if result:
+                    continue
+                outside += 1
+                with pytest.raises(NotInCone) as exc:
+                    is_extreme(F)
+                assert str(exc.value) == f"form violates the facet at {result.violated}"
+        assert outside > 50
+
 
 class TestExtremeRays:
     def test_counts(self):
@@ -231,6 +275,26 @@ class TestExtremeRays:
         reflected = {form_to_ray(reflect(e.form)).coords for e in report.rays}
         assert reflected == report.ray_set
 
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+    )
+    def test_entries_keep_the_dd_rays(self, n):
+        # form_to_ray rebuilds the ray from the form: an independent reference.
+        for entry in extreme_rays(n).rays:
+            assert entry.ray == form_to_ray(entry.form).coords
+
+    def test_ray_set_builds_no_ray_from_a_form(self, monkeypatch):
+        def boom(v):
+            raise AssertionError("ray_set called canonicalize")
+
+        old = extreme_rays(3)
+        expected = {form_to_ray(e.form).coords for e in old.rays}
+        report = ExtremeReport(old.n, old.rays)
+        monkeypatch.setattr(cone, "canonicalize", boom)
+        monkeypatch.setattr(polyhedra, "canonicalize", boom)
+        assert report.ray_set == expected
+        assert len(expected) == 13
+
     def test_ray_form_roundtrip(self):
         for entry in extreme_rays(3).rays:
             ray = form_to_ray(entry.form)
@@ -246,6 +310,19 @@ class TestClassify:
         # support misses letters 3 and 4, although the form also factors
         F = Form(5, {M(1, 2): 1, M(1): -1})
         assert classify(F, [extreme_rays(k) for k in range(4)]) == "lift"
+
+    def test_lift_rule_agrees_with_compress(self):
+        # classify tags a lift when the support union misses a letter, which
+        # is exactly when compress relabels the form into a lower degree.
+        forms = [e.form for n in range(5) for e in extreme_rays(n).rays]
+        rng = random.Random(2024)
+        forms += [sparse_form(degree, rng) for degree in range(1, 7) for _ in range(50)]
+        lifts = 0
+        for F in forms:
+            is_lift = classify(F, ()) == "lift"
+            assert is_lift == (compress(F) != F)
+            lifts += is_lift
+        assert 0 < lifts < len(forms)
 
     def test_convolution_with_negated_factors(self):
         # factor_once normalizes so both factors come out negated here
