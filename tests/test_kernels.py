@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from flagcone import polyhedra
+from flagcone.cone import facet_system
 from flagcone.polyhedra import adjacency_pairs
 
 
@@ -114,6 +116,13 @@ class TestPureKernel:
         got = kernel(masks, [0], [1, 2], 2)
         assert got == [(0, 2)] == oracle_pairs(masks, [0], [1, 2], 2)
 
+    def test_negative_witness_is_not_the_partner(self):
+        # Ray 1 rules out (0, 2) and becomes the witness for ray 2; it must
+        # not then rule out (1, 2), in which it is the partner.
+        masks = [0b0011, 0b0111, 0b1111]
+        got = kernel(masks, [0, 1], [2], 2)
+        assert got == [(1, 2)] == oracle_pairs(masks, [0, 1], [2], 2)
+
     @pytest.mark.parametrize("nbits", [64 * 16 + 1, 2000])
     def test_wide_masks(self, nbits):
         masks, pos, neg, need = random_state(0, nrays=10, nbits=nbits, density=0.6)
@@ -139,3 +148,60 @@ class TestPureKernel:
         got = kernel(masks, pos, neg, need, dead)
         assert got
         assert got == oracle_pairs(masks, pos, neg, need, dead)
+
+
+class CountingLive(int):
+    """The live bitset, counting the AND chains started from it: each chain
+    begins with `live & zero_on[k]`."""
+
+    chains = 0
+
+    def __and__(self, other):
+        CountingLive.chains += 1
+        return int(self) & other
+
+
+def positive_witness_only(masks, zero_on, live, pos, neg, need):
+    """The scan with only the witness kept per positive ray."""
+    out = []
+    for i in pos:
+        w = -1
+        for j in neg:
+            z = masks[i] & masks[j]
+            if z.bit_count() < need:
+                continue
+            if w >= 0 and w != j and not z & ~masks[w]:
+                continue
+            pair = 1 << i | 1 << j
+            alive = live
+            for k in range(z.bit_length()):
+                if z >> k & 1:
+                    alive &= zero_on[k]
+                    if alive == pair:
+                        break
+            if alive == pair:
+                out.append((i, j))
+            else:
+                rest = alive ^ pair
+                w = (rest & -rest).bit_length() - 1
+    return out
+
+
+def test_negative_witness_saves_and_chains(monkeypatch):
+    # At rank 5 the witness kept per negative ray rules out pairs that the
+    # positive ray's witness alone leaves to the AND chain.
+    counts = {}
+
+    def spy(masks, zero_on, live, pos, neg, need):
+        result = None
+        for name, scan in (("both", adjacency_pairs), ("positive", positive_witness_only)):
+            CountingLive.chains = 0
+            got = scan(masks, zero_on, CountingLive(live), pos, neg, need)
+            counts[name] = counts.get(name, 0) + CountingLive.chains
+            assert result is None or got == result
+            result = got
+        return result
+
+    monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+    assert len(polyhedra.dd_rays(facet_system(4).normal_matrix)) == 41
+    assert 0 < counts["both"] < counts["positive"]

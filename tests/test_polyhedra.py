@@ -177,7 +177,7 @@ class TestDDRays:
         for d in (1, 2, 3, 5):
             eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
             rays = dd_rays(eye)
-            assert {r.coords for r in rays} == {row for row in eye}
+            assert {r.coords for r, _ in rays} == {row for row in eye}
 
     def test_cone_collapsing_to_origin(self):
         assert dd_rays([(1,), (-1,)]) == []
@@ -192,7 +192,7 @@ class TestDDRays:
             dd_rays([tuple(1 for _ in range(65))])
 
     def test_output_sorted_and_primitive(self):
-        rays = dd_rays(facet_matrix(3))
+        rays = [r for r, _ in dd_rays(facet_matrix(3))]
         assert rays == sorted(rays, key=lambda r: r.coords)
         assert len({r.coords for r in rays}) == len(rays)
 
@@ -200,7 +200,7 @@ class TestDDRays:
         # A r >= 0 componentwise and the active rows have rank d - 1.
         rows = facet_matrix(3)
         d = len(rows[0])
-        for ray in dd_rays(rows):
+        for ray, _ in dd_rays(rows):
             vals = [sum(a * x for a, x in zip(row, ray.coords)) for row in rows]
             assert all(v >= 0 for v in vals)
             active = [row for row, v in zip(rows, vals) if v == 0]
@@ -208,12 +208,12 @@ class TestDDRays:
 
     def test_row_order_invariance(self):
         rows = facet_matrix(3)
-        base = {r.coords for r in dd_rays(rows)}
+        base = {r.coords for r, _ in dd_rays(rows)}
         rng = random.Random(7)
         for _ in range(5):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            assert {r.coords for r in dd_rays(shuffled)} == base
+            assert {r.coords for r, _ in dd_rays(shuffled)} == base
 
     def test_scaling_rows_no_change(self):
         rows = [(2, 0, 0), (0, 3, 0), (1, 1, 5)]
@@ -230,7 +230,7 @@ class TestDDRays:
             rows = [r for r in rows if any(r)]
             if not rows or gauss_pivots(rows)[0] < d:
                 continue
-            assert {r.coords for r in dd_rays(rows)} == brute_rays(rows)
+            assert {r.coords for r, _ in dd_rays(rows)} == brute_rays(rows)
             checked += 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -243,7 +243,7 @@ class TestDDRays:
         # with one rebuilt here from the masks.
         rows = facet_matrix(n)
         d = len(rows[0])
-        order = polyhedra._insertion_order(rows)
+        order = polyhedra._insertion_order(polyhedra._integer_rows(rows))
         common_sets = []
 
         def spy(masks, zero_on, live, pos, neg, need):
@@ -301,6 +301,65 @@ class TestDDRays:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "['flagcone']"
+
+
+def zero_rows(rows, coords) -> tuple[int, ...]:
+    """Indices of the rows with a zero dot product on coords, by brute force."""
+    return tuple(
+        k for k, row in enumerate(rows)
+        if sum(Fraction(a) * x for a, x in zip(row, coords)) == 0
+    )
+
+
+def with_repeats(rng: random.Random, rows: list[tuple]) -> list[tuple]:
+    """rows plus, at random places, a duplicate, a scaled duplicate, an
+    all-zero row and a Fraction multiple of a row."""
+    d = len(rows[0])
+    scale, den = rng.randint(2, 3), rng.randint(2, 5)
+    extra = [
+        rng.choice(rows),
+        tuple(scale * x for x in rng.choice(rows)),
+        (0,) * d,
+        tuple(Fraction(x, den) for x in rng.choice(rows)),
+    ]
+    out = list(rows)
+    for row in extra:
+        out.insert(rng.randint(0, len(out)), row)
+    return out
+
+
+class TestIncidence:
+    # dd_rays pairs each ray with the indices of the given rows vanishing on
+    # it, read off its zero-set bitmask over the deduplicated rows.
+
+    def test_scaled_duplicates_and_zero_row(self):
+        rows = [(1, 0), (2, 0), (0, 1), (0, 0), (Fraction(1, 2), Fraction(1, 2))]
+        assert dd_rays(rows) == [(Ray((0, 1)), (0, 1, 3)), (Ray((1, 0)), (2, 3))]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force_zero_rows(self, seed):
+        rng = random.Random(3000 + seed)
+        while True:
+            d = rng.choice((2, 3, 3, 4))
+            base = [tuple(rng.randint(-2, 2) for _ in range(d))
+                    for _ in range(rng.randint(d, d + 3))]
+            base = [r for r in base if any(r)]
+            if base and gauss_pivots(base)[0] == d:
+                break
+        rows = with_repeats(rng, base)
+        out = dd_rays(rows)
+        assert {r.coords for r, _ in out} == brute_rays(base)
+        for ray, active in out:
+            assert active == zero_rows(rows, ray.coords)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_facet_rows_with_repeats(self, n):
+        rng = random.Random(n)
+        rows = with_repeats(rng, facet_matrix(n))
+        out = dd_rays(rows)
+        assert [r for r, _ in out] == [r for r, _ in dd_rays(facet_matrix(n))]
+        for ray, active in out:
+            assert active == zero_rows(rows, ray.coords)
 
 
 def fraction_inverse(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
@@ -384,7 +443,7 @@ class TestInitialBasis:
 
 class TestBlockerConeCounts:
     def test_rank3_rays_are_the_five_listed(self):
-        rays = dd_rays(facet_matrix(2))
+        rays = [r for r, _ in dd_rays(facet_matrix(2))]
         # f-coefficients over masks (empty, {1}, {2}, {1,2})
         expected = {
             (1, 0, 0, 0),    # f_empty
