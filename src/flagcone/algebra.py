@@ -12,7 +12,6 @@ Degree-0 values are bare scalars (Fraction), never Form objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -140,16 +139,7 @@ class Form:
         return hash((self.degree, tuple(self._coeffs.items())))
 
     def __str__(self):
-        if not self._coeffs:
-            return f"0 (degree {self.degree})"
-        parts = []
-        for m, c in self._coeffs.items():
-            sym = "f" + ranksets.to_string(m)
-            mag = abs(c)
-            body = sym if mag == 1 else f"{mag}*{sym}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
-        return " ".join([head] + parts[1:])
+        return render_terms("f", self.terms()) or f"0 (degree {self.degree})"
 
     def __repr__(self):
         return f"Form({self.degree}, {self._coeffs!r})"
@@ -465,45 +455,6 @@ def eval_singleton(mask: int, F: Form) -> Fraction:
     return sum((c for s, c in F.terms() if s & mask == mask), Fraction(0))
 
 
-@dataclass(frozen=True)
-class EvalFunctional:
-    """A linear functional on forms of one degree.
-
-    kind 'poset': evaluation on a graded poset; kind 'interval_system':
-    blocker-sum; kind 'singleton': superset-sum for one rank set.
-    """
-
-    degree: int
-    kind: str
-    payload: object
-
-    @classmethod
-    def from_poset(cls, P: poset_mod.GradedPoset) -> "EvalFunctional":
-        return cls(P.rank, "poset", P)
-
-    @classmethod
-    def from_system(cls, system: IntervalSystem) -> "EvalFunctional":
-        return cls(system.ambient_n + 1, "interval_system", system)
-
-    @classmethod
-    def from_singleton(cls, degree: int, mask: int) -> "EvalFunctional":
-        ranksets.check_mask(mask, degree - 1)
-        return cls(degree, "singleton", mask)
-
-    def __call__(self, F: Form) -> Fraction:
-        if F.degree != self.degree:
-            raise DegreeMismatch(
-                f"functional degree {self.degree} != form degree {F.degree}"
-            )
-        if self.kind == "poset":
-            return eval_poset(self.payload, F)
-        if self.kind == "interval_system":
-            return eval_system(self.payload, F)
-        if self.kind == "singleton":
-            return eval_singleton(self.payload, F)
-        raise ValueError(f"unknown kind {self.kind!r}")
-
-
 def limit_check(
     system: IntervalSystem, F: Form, Ns: Sequence[int]
 ) -> list[Fraction]:
@@ -523,6 +474,26 @@ def limit_check(
 
 
 # -- text format ----------------------------------------------------------------
+
+
+def render_terms(letter: str, terms: Iterable[tuple[int, Scalar]]) -> str:
+    """Signed-sum text of the nonzero (mask, coefficient) terms, in order.
+
+    `letter` names the basis symbol, as in "f{1} - 2*f{2}"; no terms give "".
+    """
+    parts: list[str] = []
+    for mask, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = f"{letter}{ranksets.to_string(mask)}"
+        if mag != 1:
+            body = f"{mag}*{body}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts)
 
 
 def format_form(F: Form) -> str:

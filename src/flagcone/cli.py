@@ -19,8 +19,10 @@ import sys
 from typing import Sequence
 
 from . import ranksets
-from .algebra import Form, parse_form, to_h_coeffs
+from .algebra import Form, parse_form, render_terms, to_h_coeffs
 from .cone import (
+    MAX_DD_AMBIENT,
+    MAX_MEMBERSHIP_AMBIENT,
     contains,
     contains_by_projection,
     extreme_rays,
@@ -41,9 +43,8 @@ from .poset import (
 )
 
 FACET_RANK_CAP = 6
-EXTREME_RANK_CAP = 6
-CHECK_RANK_CAP = 7
-SLOW_RANK = 6
+EXTREME_RANK_CAP = MAX_DD_AMBIENT + 1
+CHECK_RANK_CAP = MAX_MEMBERSHIP_AMBIENT + 1
 WITNESS_N_CAP = 64
 WITNESS_K_CAP = 4
 WITNESS_RANK_CAP = 10
@@ -51,21 +52,7 @@ WITNESS_RANK_CAP = 10
 
 def _h_text(F: Form) -> str:
     """Render a form in the h-basis, mirroring the f-basis text syntax."""
-    coeffs = to_h_coeffs(F)
-    parts: list[str] = []
-    for mask in ranksets.subsets(F.degree - 1):
-        c = coeffs[mask]
-        if not c:
-            continue
-        mag = abs(c)
-        body = f"h{ranksets.to_string(mask)}"
-        if mag != 1:
-            body = f"{mag}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return render_terms("h", to_h_coeffs(F).items()) or "0"
 
 
 def _read_text(path: str) -> str:
@@ -227,11 +214,11 @@ def cmd_polar(args: argparse.Namespace) -> int:
     print(f"generators ({len(desc.generators)}):")
     for sys_, ray in desc.generators:
         print(f"  {sys_} : {' '.join(str(x) for x in ray.coords)}")
-    print(f"facets ({desc.facets.nrows}):")
-    for row in desc.facets.entries:
-        print("  " + " ".join(str(int(x)) for x in row))
+    print(f"facets ({len(desc.facets)}):")
+    for row in desc.facets:
+        print("  " + " ".join(str(x) for x in row))
     # The facets are the extreme rays, so the counts agree by construction.
-    print(f"facet count equals extreme-ray count ({desc.facets.nrows}): yes")
+    print(f"facet count equals extreme-ray count ({len(desc.facets)}): yes")
     return 0
 
 
@@ -261,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank(p, EXTREME_RANK_CAP)
     p.add_argument("--method", choices=("dd", "generate", "both"), default="dd")
     p.add_argument("--basis", choices=("f", "h"), default="f")
-    p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 0.75 s, mostly double description)")
     p.set_defaults(func=cmd_extremes, cap=EXTREME_RANK_CAP, min_rank=1)
 
     p = sub.add_parser("check", help="cone membership of a form file")
@@ -291,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polar", help="flag-cone generators and facets")
     _add_rank(p, EXTREME_RANK_CAP)
-    p.add_argument("--allow-slow", action="store_true",
-                   help=f"permit rank {SLOW_RANK} (about 0.75 s: one double description run)")
     p.set_defaults(func=cmd_polar, cap=EXTREME_RANK_CAP, min_rank=1)
 
     return parser
@@ -303,16 +286,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cap = getattr(args, "cap", None)
-    if cap is not None:
-        if not (args.min_rank <= args.rank <= cap):
-            parser.error(f"--rank must be between {args.min_rank} and {cap}")
-        runs_dd = args.command == "polar" or (
-            args.command == "extremes" and args.method in ("dd", "both")
-        )
-        if args.rank >= SLOW_RANK and runs_dd and not args.allow_slow:
-            parser.error(
-                f"rank {args.rank} needs --allow-slow (long double description run)"
-            )
+    if cap is not None and not (args.min_rank <= args.rank <= cap):
+        parser.error(f"--rank must be between {args.min_rank} and {cap}")
 
     try:
         return args.func(args)

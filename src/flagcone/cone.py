@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Sequence
 
 from . import ranksets
 from .algebra import (
     Form,
     Scalar,
     convolve,
-    eval_system,
     factor_once,
     leading_ones_factor,
     project,
@@ -36,13 +35,7 @@ from .intervals import (
     blockers,
     enumerate_antichains,
 )
-from .polyhedra import (
-    RationalMatrix,
-    Ray,
-    canonicalize,
-    dd_rays,
-    matrix_rank,
-)
+from .polyhedra import Ray, canonicalize, dd_rays, matrix_rank
 from .poset import WitnessSpec
 
 __all__ = [
@@ -330,9 +323,7 @@ def classify(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
     return "new"
 
 
-_REPORT_CACHE: dict[int, ExtremeReport] = {}
-
-
+@lru_cache(maxsize=None)
 def extreme_rays(n: int) -> ExtremeReport:
     """All extreme rays of the degree-(n+1) cone, by double description.
 
@@ -343,9 +334,6 @@ def extreme_rays(n: int) -> ExtremeReport:
     (perfbench enumerate-r6, median of ten runs).  Reports are cached per
     ambient.
     """
-    cached = _REPORT_CACHE.get(n)
-    if cached is not None:
-        return cached
     if n > MAX_DD_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
     fs = facet_system(n)
@@ -355,9 +343,7 @@ def extreme_rays(n: int) -> ExtremeReport:
     for ray, active in rays:
         F = ray_to_form(ray)
         entries.append(ExtremeEntry(F, classify(F, lower), active, ray.coords))
-    report = ExtremeReport(n, tuple(entries))
-    _REPORT_CACHE[n] = report
-    return report
+    return ExtremeReport(n, tuple(entries))
 
 
 def _excluded_product(F: Form, G: Form) -> bool:
@@ -371,33 +357,23 @@ def _excluded_product(F: Form, G: Form) -> bool:
     return trailing_ones_factor(F)[1] >= 1 and leading_ones_factor(G)[1] >= 1
 
 
-def generate_extremes(
-    n: int,
-    injected_new: Mapping[int, Iterable[Form]] | None = None,
-) -> list[Form]:
+def generate_extremes(n: int) -> list[Form]:
     """Degree-(n+1) extremes derived by lifting and convolution.
 
-    Recursively builds the full extreme sets of all lower ranks (derived
-    forms plus the injected `new` forms for those ranks, keyed by ambient),
-    then lifts the rank-n set through every shift index and convolves every
-    compatible lower pair.  Candidates failing the extremeness rank test
-    are dropped, and the output is deduplicated by canonical ray and
-    reported in canonical ray order.
+    Recursively builds the full extreme sets of all lower ranks: the forms
+    derived at each rank k < n, plus the rays that extreme_rays(k) tags
+    `new`.  It then lifts the rank-n set through every shift index and
+    convolves every compatible lower pair.  Candidates failing the
+    extremeness rank test are dropped, and the output is deduplicated by
+    canonical ray and reported in canonical ray order.
 
-    By default the certified new rays of the lower ranks are taken from
-    extreme_rays reports and nothing is injected at ambient n itself, so
-    the result is the derived subset: what lifting and convolution alone
-    reach.  Completeness at the top rank comes only from extreme_rays;
-    passing injected_new with an entry for ambient n unions those forms in.
+    Nothing is added at ambient n itself, so the result is the derived
+    subset: what lifting and convolution alone reach.  Completeness at the
+    top rank comes only from extreme_rays.
     """
-    if injected_new is None:
-        injected = {
-            k: [e.form for e in extreme_rays(k).tagged("new")]
-            for k in range(1, n)
-        }
-    else:
-        injected = {k: list(forms) for k, forms in injected_new.items()}
-
+    new = {
+        k: [e.form for e in extreme_rays(k).tagged("new")] for k in range(1, n)
+    }
     full: dict[int, dict[tuple[int, ...], Form]] = {}
 
     def full_set(k: int) -> dict[tuple[int, ...], Form]:
@@ -407,7 +383,7 @@ def generate_extremes(
             out = {form_to_ray(Form(1, {0: 1})).coords: Form(1, {0: 1})}
         else:
             out = dict(derived(k))
-            for F in injected.get(k, []):
+            for F in new[k]:
                 out[form_to_ray(F).coords] = F
         full[k] = out
         return out
@@ -433,9 +409,6 @@ def generate_extremes(
     if n == 0:
         return [Form(1, {0: 1})]
     result = derived(n)
-    for F in injected.get(n, []):
-        if is_extreme(F):
-            result.setdefault(form_to_ray(F).coords, F)
     return [result[c] for c in sorted(result)]
 
 
@@ -451,7 +424,7 @@ class ConeDescription:
 
     n: int
     generators: tuple[tuple[IntervalSystem, Ray], ...]
-    facets: RationalMatrix
+    facets: tuple[tuple[int, ...], ...]
 
 
 def flag_cone(n: int) -> ConeDescription:
@@ -460,6 +433,5 @@ def flag_cone(n: int) -> ConeDescription:
     The facets are the rays of extreme_rays(n) in its double description
     output order (lexicographic); a cached report runs nothing.
     """
-    report = extreme_rays(n)
-    facets = RationalMatrix(tuple(sorted(report.ray_set)))
+    facets = tuple(sorted(extreme_rays(n).ray_set))
     return ConeDescription(n, facet_system(n).facets, facets)

@@ -42,7 +42,6 @@ __all__ = [
     "NotPointed",
     "PolyhedralError",
     "Ray",
-    "RationalMatrix",
     "ZeroVector",
     "canonicalize",
     "dd_rays",
@@ -73,29 +72,6 @@ class ZeroVector(PolyhedralError):
 
 
 Scalar = int | Fraction
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A rectangular matrix of exact int or Fraction entries, at least 1 x 1."""
-
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise EmptyInput("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows in matrix")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
 
 
 @dataclass(frozen=True)
@@ -160,10 +136,8 @@ def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...] | No
     return out
 
 
-def _as_rows(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> list[Sequence[Scalar]]:
+def _as_rows(A: Sequence[Sequence[Scalar]]) -> list[Sequence[Scalar]]:
     """The rows of A as given, after checking that A is a nonempty rectangle."""
-    if isinstance(A, RationalMatrix):
-        return list(A.entries)
     rows = list(A)
     if not rows or not rows[0]:
         raise EmptyInput("matrix must have at least one row and column")
@@ -205,7 +179,7 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
     return picked
 
 
-def matrix_rank(A: RationalMatrix | Sequence[Sequence[Scalar]]) -> int:
+def matrix_rank(A: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank: the number of independent rows of A scaled to integers."""
     rows = _as_rows(A)
     ints = [row for row in _integer_rows(rows) if row is not None]
@@ -323,9 +297,7 @@ def _insertion_order(rows: Iterable[tuple[int, ...] | None]) -> list[tuple[int, 
     return sorted({row for row in rows if row is not None}, reverse=True)
 
 
-def dd_rays(
-    A: RationalMatrix | Sequence[Sequence[Scalar]],
-) -> list[tuple[Ray, tuple[int, ...]]]:
+def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     """Extreme rays of the pointed cone {x : Ax >= 0}, each with its incidence.
 
     Returns (ray, active) pairs, where active is the ascending tuple of the

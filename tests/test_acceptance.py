@@ -308,9 +308,9 @@ def test_criterion_09_polarity():
     for n in range(1, 5):
         desc = flag_cone(n)
         count = len(extreme_rays(n).rays)
-        assert desc.facets.nrows == count
+        assert len(desc.facets) == count
         assert len(desc.generators) == len(facet_system(n))
-        rows = [tuple(row) for row in desc.facets.entries]
+        rows = desc.facets
         full = (1 << n) - 1
         for _, g in desc.generators:
             active = [

@@ -14,7 +14,8 @@ import io
 import pytest
 
 from flagcone import ranksets
-from flagcone.cli import main
+from flagcone.algebra import Form
+from flagcone.cli import _h_text, main
 from flagcone.cone import facet_system
 from flagcone.intervals import IntervalSystem
 from flagcone.poset import WitnessSpec, parse_poset, random_graded_poset, format_poset
@@ -83,6 +84,7 @@ class TestExtremes:
         assert code == 0
         rendered = {ln.split()[0] for ln in out.strip().splitlines()[:-1]}
         assert rendered == {"h{}", "h{1}"}
+        assert _h_text(Form(3)) == "0"
 
     def test_method_generate(self, capsys):
         code, out = run(capsys, ["extremes", "--rank", "4", "--method", "generate"])
@@ -94,10 +96,107 @@ class TestExtremes:
         assert code == 0
         assert "subset of dd output: ok" in out
 
-    def test_rank6_needs_allow_slow(self, capsys):
+    @pytest.mark.parametrize("command", ["extremes", "polar"])
+    def test_rank_cap(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(["extremes", "--rank", "6"])
+            main([command, "--rank", "7"])
         assert exc.value.code == 2
+
+    # Rank 6 once needed this flag; it is gone, so argparse rejects it.
+    @pytest.mark.parametrize("command", ["extremes", "polar"])
+    def test_removed_flag_is_unknown(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--rank", "6", "--allow-slow"])
+        assert exc.value.code == 2
+
+    # SHA-256 of the whole stdout of `extremes --rank R --method M --basis B`,
+    # so that neither the enumeration nor the f- and h-basis rendering can
+    # change what extremes prints.
+    @pytest.mark.parametrize("rank, method, basis, digest", [
+        (1, "dd", "f",
+         "d01623f23d94ac9e036a2e3480025508d6ad9d631e107b907aabd32e528bcb74"),
+        (1, "dd", "h",
+         "b50426920b956aad8192564ca5b4e576658cca650b14841565cd2ebde96572e8"),
+        (1, "generate", "f",
+         "d17b21cbc64f7ff66b6c162e41eb33205eebfb54dc78a83f49e12fc7e10ec33a"),
+        (1, "generate", "h",
+         "5c2ce20a564d2fc92d063ffd3b50324a251a11ce2b7877b76e9e0a9f9e2476c3"),
+        (1, "both", "f",
+         "764e127a4a8e82dd817d97f1eed3aa27573803c49314d4cbcd0ea83b05468ce4"),
+        (1, "both", "h",
+         "e414a833bc82592d173ab161d925e266be9e5d11615e62268c6267788f2b5d4d"),
+        (2, "dd", "f",
+         "8c4bf99a3d24a3122f92d080f516da9c120a3fe4cce1cc37d1e2353683d7bf15"),
+        (2, "dd", "h",
+         "1c6b16be7499f7d26f28e6ba57588d4a10b603052401d0e3e58e2addd8f2f4ad"),
+        (2, "generate", "f",
+         "d17b21cbc64f7ff66b6c162e41eb33205eebfb54dc78a83f49e12fc7e10ec33a"),
+        (2, "generate", "h",
+         "5c2ce20a564d2fc92d063ffd3b50324a251a11ce2b7877b76e9e0a9f9e2476c3"),
+        (2, "both", "f",
+         "db04e6c616f709feebc5686418d4cd039b895c14144ca75c051e073eeed47523"),
+        (2, "both", "h",
+         "2a3b5b064eea3af17008af2d1c7eb21f52780119c25da197777f953d90e9d855"),
+        (3, "dd", "f",
+         "d454581a3b94704c1cc9eac6ec5446f658b18a7850173455f700385543f0a37d"),
+        (3, "dd", "h",
+         "b79ae329766a4f1a98c739ad9602a5f9ceefca2a194d1eccf237282b2fbe30a6"),
+        (3, "generate", "f",
+         "ab7df088d30f213d2ff2b0719ebb68f001226089f26176da9e4bb6a9c6c29be9"),
+        (3, "generate", "h",
+         "728f031826b175a8f88a9910e40ebd93ab9c8ef20f9790f1ca4f171f332c963a"),
+        (3, "both", "f",
+         "05fc59df38e1704883b643aff63b58dbe64b9e2530d8556a73d16c14ef3773f0"),
+        (3, "both", "h",
+         "9d5148322fe34e9c7fcd4d7565593fa8d5d6fa659a7f5ee7c8bd4fc88ae431a3"),
+        (4, "dd", "f",
+         "06dd995eb47d267e91c7e0874bb2fc8d72116c39b5f2c328ebd5bb6f87e5061d"),
+        (4, "dd", "h",
+         "19ef59e6a431d4e0f64867ce9cb245a17ac0b77046069c5ae6852239a0d5a7ca"),
+        (4, "generate", "f",
+         "f3b2b9018cb4d6d14b0994509c2c91291d2a8c59aa15c3e99ad9bed0c45e85ac"),
+        (4, "generate", "h",
+         "e3ae5d026075a68032dfc6279a85665276624711318c1408d2757ba0f2970ac4"),
+        (4, "both", "f",
+         "65029ede2e626475388c2d2aa813b9d53c696b0b537784887b2976f3c8629b77"),
+        (4, "both", "h",
+         "29370918aa03f2684e900945fda29ae2878c1cb8a3ec42c8ed9829510940ef69"),
+        (5, "dd", "f",
+         "3ef70d5acb004f045c545ff3fa79b35bca5249358a734ed35e36c3fc269c46ad"),
+        (5, "dd", "h",
+         "7dca610e176271ce100758aa02862ae57ac62f0076472249273353e17f41aef4"),
+        (5, "generate", "f",
+         "4525f2cd48f05d90ba2219372f5bb4a2be161d8ff357f4d989e8ecbc8726d406"),
+        (5, "generate", "h",
+         "c1e1d0b5149c77915c8c00ee1e2f3e2c303c34ae209ad57f451714bb1c8bf7ab"),
+        (5, "both", "f",
+         "1197b48df2765fe4d2d37de43f6a8c75833ac366843d751447dbe30f107b9934"),
+        (5, "both", "h",
+         "bacfd425d250abac6650c338f551d6c13c30e92e4ebd8d4bc5c43d68a885598d"),
+        pytest.param(6, "dd", "f",
+                     "dd44e3f882f751fb627f84a1fc21056d9c34f36f690a3f91b5eca778b6986ea4",
+                     marks=pytest.mark.slow),
+        pytest.param(6, "dd", "h",
+                     "dcd2a69d5319d1708d74028fe0068eee6f6ecfeee24ed76ba8c664b0b86253ec",
+                     marks=pytest.mark.slow),
+        pytest.param(6, "generate", "f",
+                     "5893d90c9786a8a94179d7452b89a8abf297488502f20f7c0ff54d33c951a72d",
+                     marks=pytest.mark.slow),
+        pytest.param(6, "generate", "h",
+                     "8b761717ef6d2f1d05d7e28b18490a4cc2b0104e4f34dbbe40b238e3d28caa14",
+                     marks=pytest.mark.slow),
+        pytest.param(6, "both", "f",
+                     "2f611fb22e4d5e1712c9f0758ee5582b0184b925d7f73d73da3182dd78347916",
+                     marks=pytest.mark.slow),
+        pytest.param(6, "both", "h",
+                     "8f7ab12fc9d3a8f36c33f0719e059713f694d50f06b1ef578f17203de325d2a1",
+                     marks=pytest.mark.slow),
+    ])
+    def test_stdout_digest(self, capsys, rank, method, basis, digest):
+        argv = ["extremes", "--rank", str(rank), "--method", method, "--basis", basis]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCheck:
@@ -238,11 +337,6 @@ class TestPolar:
         assert "facets (13):" in out
         assert "facet count equals extreme-ray count (13): yes" in out
 
-    def test_rank6_needs_allow_slow(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["polar", "--rank", "6"])
-        assert exc.value.code == 2
-
     # SHA-256 of the whole stdout of `polar --rank R`, so that a change in
     # how the facets are computed cannot change what polar prints.
     @pytest.mark.parametrize("rank, digest", [
@@ -256,10 +350,7 @@ class TestPolar:
             marks=pytest.mark.slow),
     ])
     def test_stdout_digest(self, capsys, rank, digest):
-        argv = ["polar", "--rank", str(rank)]
-        if rank >= 6:
-            argv.append("--allow-slow")
-        code, out = run(capsys, argv)
+        code, out = run(capsys, ["polar", "--rank", str(rank)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

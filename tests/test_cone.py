@@ -343,10 +343,6 @@ class TestGenerateExtremes:
         missing = dd - generated
         assert missing == {form_to_ray(BANKER).coords}
 
-    def test_rank4_complete_with_injection(self):
-        generated = generate_extremes(3, injected_new={1: [h_form(2, 1)], 3: [BANKER]})
-        assert {form_to_ray(F).coords for F in generated} == extreme_rays(3).ray_set
-
     def test_generated_subset_of_dd(self):
         for n in (1, 2, 3, 4):
             dd = extreme_rays(n).ray_set
@@ -370,8 +366,7 @@ class TestFlagCone:
         desc = flag_cone(1)
         gens = {str(sys_): ray.coords for sys_, ray in desc.generators}
         assert gens == {"empty": (1, 1), "[1,1]": (0, 1)}
-        facet_rows = {tuple(int(x) for x in row) for row in desc.facets.entries}
-        assert facet_rows == {
+        assert set(desc.facets) == {
             tuple(int(x) for x in Form(2, {0: 1}).vector()),
             tuple(int(x) for x in h_form(2, 1).vector()),
         }
@@ -380,15 +375,14 @@ class TestFlagCone:
         for n in (1, 2, 3):
             desc = flag_cone(n)
             assert len(desc.generators) == catalan(n + 1)
-            assert desc.facets.nrows == len(extreme_rays(n).rays)
+            assert len(desc.facets) == len(extreme_rays(n).rays)
 
     def test_generators_extreme_in_polar(self):
         for n in (1, 2, 3):
             desc = flag_cone(n)
-            rows = [tuple(int(x) for x in row) for row in desc.facets.entries]
             for _, g in desc.generators:
                 active = [
-                    row for row in rows
+                    row for row in desc.facets
                     if sum(a * b for a, b in zip(row, g.coords)) == 0
                 ]
                 assert matrix_rank(active) == (1 << n) - 1
@@ -455,4 +449,4 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_flag_cone_facets_digest(self, n):
-        assert rows_digest(flag_cone(n).facets.entries) == PINNED_DIGESTS[n]
+        assert rows_digest(flag_cone(n).facets) == PINNED_DIGESTS[n]

@@ -29,7 +29,6 @@ from flagcone.polyhedra import (
     DimensionOverflow,
     EmptyInput,
     NotPointed,
-    RationalMatrix,
     Ray,
     ZeroVector,
     adjacency_pairs,
@@ -146,7 +145,7 @@ class TestMatrixRank:
             assert matrix_rank(mat) == 2 ** n
 
     def test_rational_entries(self):
-        A = RationalMatrix(((Fraction(1, 2), 1), (1, 2), (0, 1)))
+        A = [(Fraction(1, 2), 1), (1, 2), (0, 1)]
         assert matrix_rank(A) == 2
 
     @given(st.integers(1, 8).flatmap(lambda width: st.lists(
@@ -461,11 +460,15 @@ class TestBlockerConeCounts:
         assert len(dd_rays(facet_matrix(4))) == 41
 
 
-class TestRationalMatrix:
+class TestInputShape:
     def test_requires_rows(self):
         with pytest.raises(EmptyInput):
-            RationalMatrix(())
+            dd_rays([])
+
+    def test_requires_columns(self):
+        with pytest.raises(EmptyInput):
+            dd_rays([()])
 
     def test_requires_rectangular(self):
         with pytest.raises(ValueError):
-            RationalMatrix(((1, 2), (3,)))
+            matrix_rank([(1, 2), (3,)])
