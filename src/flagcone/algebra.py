@@ -13,11 +13,12 @@ Degree-0 values are bare scalars (Fraction), never Form objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import poset as poset_mod
 from . import ranksets
 from .intervals import IntervalSystem, is_blocker
+from .polyhedra import Scalar
 
 
 class DegreeMismatch(ValueError):
@@ -30,9 +31,6 @@ class BadShiftIndex(ValueError):
 
 class ZeroForm(ValueError):
     """The operation is undefined on the zero form."""
-
-
-Scalar = Union[int, Fraction]
 
 
 class Form:
@@ -68,7 +66,14 @@ class Form:
             raise DegreeMismatch(
                 f"vector length {len(vec)} != 2**{degree - 1}"
             )
-        return cls(degree, dict(enumerate(vec)))
+        # The masks of a full-length vector are distinct, ascending and in
+        # range, so nothing of __init__ but the Fraction conversion applies.
+        form = object.__new__(cls)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(
+            form, "_coeffs", {m: Fraction(c) for m, c in enumerate(vec) if c}
+        )
+        return form
 
     # -- inspection ----------------------------------------------------------
 

@@ -223,6 +223,7 @@ def cmd_polar(args: argparse.Namespace) -> int:
 
 
 def _add_rank(p: argparse.ArgumentParser, cap: int, minimum: int = 1) -> None:
+    """Add --rank with the range its help prints and main enforces."""
     p.add_argument(
         "--rank",
         type=int,
@@ -230,6 +231,7 @@ def _add_rank(p: argparse.ArgumentParser, cap: int, minimum: int = 1) -> None:
         metavar="R",
         help=f"poset rank, {minimum} to {cap}",
     )
+    p.set_defaults(cap=cap, min_rank=minimum)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facets", help="antichains and facet normals")
     _add_rank(p, FACET_RANK_CAP)
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.set_defaults(func=cmd_facets, cap=FACET_RANK_CAP, min_rank=1)
+    p.set_defaults(func=cmd_facets)
 
     p = sub.add_parser("extremes", help="extreme rays with provenance tags")
     _add_rank(p, EXTREME_RANK_CAP)
     p.add_argument("--method", choices=("dd", "generate", "both"), default="dd")
     p.add_argument("--basis", choices=("f", "h"), default="f")
-    p.set_defaults(func=cmd_extremes, cap=EXTREME_RANK_CAP, min_rank=1)
+    p.set_defaults(func=cmd_extremes)
 
     p = sub.add_parser("check", help="cone membership of a form file")
     _add_rank(p, CHECK_RANK_CAP)
     p.add_argument("--form", required=True, metavar="PATH")
     p.add_argument("--certificate", action="store_true",
                    help="print the violated antichain and witness recipe")
-    p.set_defaults(func=cmd_check, cap=CHECK_RANK_CAP, min_rank=1)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fvector", help="flag vector of a poset file")
     p.add_argument("--poset", required=True, metavar="PATH")
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, metavar="N",
                    help=f"multiplicity, 1 to {WITNESS_N_CAP}")
     p.add_argument("--emit-poset", metavar="PATH")
-    p.set_defaults(func=cmd_witness, cap=WITNESS_RANK_CAP, min_rank=2)
+    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("partition", help="chain partition classes of a poset file")
     p.add_argument("--poset", required=True, metavar="PATH")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polar", help="flag-cone generators and facets")
     _add_rank(p, EXTREME_RANK_CAP)
-    p.set_defaults(func=cmd_polar, cap=EXTREME_RANK_CAP, min_rank=1)
+    p.set_defaults(func=cmd_polar)
 
     return parser
 

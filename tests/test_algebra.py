@@ -119,6 +119,32 @@ class TestForm:
         assert Form.from_vector(3, F.vector()) == F
         assert len(F.vector()) == 4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_vector_matches_constructor(self, seed):
+        # from_vector builds its coefficients without __init__; the result
+        # must be the form __init__ builds from the same masks.
+        rng = random.Random(seed)
+        degree = rng.randint(1, 6)
+        vec = [rng.choice([0, 0, 1, -2, 3]) for _ in range(1 << (degree - 1))]
+        if seed % 2:
+            vec = [Fraction(c, rng.randint(1, 4)) for c in vec]
+        F = Form.from_vector(degree, vec)
+        G = Form(degree, dict(enumerate(vec)))
+        assert F == G
+        assert hash(F) == hash(G)
+        assert str(F) == str(G)
+        assert list(F.terms()) == list(G.terms())
+        assert all(type(c) is Fraction for _, c in F.terms())
+        assert F.vector() == tuple(Fraction(c) for c in vec)
+
+    def test_from_vector_zero_and_length(self):
+        assert Form.from_vector(3, [0, 0, 0, 0]).is_zero
+        assert Form.from_vector(3, (Fraction(0),) * 4) == Form(3)
+        with pytest.raises(DegreeMismatch):
+            Form.from_vector(3, [1, 0, 1])
+        with pytest.raises(DegreeMismatch):
+            Form.from_vector(2, [1, 0, 1, 0])
+
     def test_immutable_and_hashable(self):
         F = f(2, 1)
         with pytest.raises(AttributeError):

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 
 import pytest
 
-from flagcone import ranksets
+from flagcone import cli, ranksets
 from flagcone.algebra import Form
 from flagcone.cli import _h_text, main
 from flagcone.cone import facet_system
@@ -354,3 +355,34 @@ class TestPolar:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+class TestRankRange:
+    # The range `--help` prints for --rank is the range main enforces.  The
+    # subcommand itself is replaced by a stub, so only the check runs.
+    REQUIRED = {
+        "facets": [],
+        "extremes": [],
+        "check": ["--form", "unused"],
+        "witness": ["--intervals", "empty", "--N", "2"],
+        "polar": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_help_range_is_enforced(self, capsys, monkeypatch, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        found = re.search(r"poset\s+rank,\s+(\d+)\s+to\s+(\d+)", capsys.readouterr().out)
+        low, high = int(found[1]), int(found[2])
+        assert 1 <= low < high
+
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: 0)
+        extra = self.REQUIRED[command]
+        for rank in (low, high):
+            assert main([command, "--rank", str(rank)] + extra) == 0
+        for rank in (low - 1, high + 1):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--rank", str(rank)] + extra)
+            assert exc.value.code == 2
+            assert f"between {low} and {high}" in capsys.readouterr().err
