@@ -62,6 +62,8 @@ class Form:
 
     @classmethod
     def from_vector(cls, degree: int, vec: Sequence[Scalar]) -> "Form":
+        if degree < 1:
+            raise DegreeMismatch(f"degree {degree} < 1")
         if len(vec) != 1 << (degree - 1):
             raise DegreeMismatch(
                 f"vector length {len(vec)} != 2**{degree - 1}"
@@ -181,13 +183,6 @@ def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
             key = base | (t << m)
             out[key] = out.get(key, Fraction(0)) + a * b
     return Form(m + G.degree, out)
-
-
-def convolve_all(factors: Sequence[Form | Scalar]) -> Form | Fraction:
-    acc: Form | Scalar = Fraction(1)
-    for f in factors:
-        acc = convolve(acc, f)
-    return acc
 
 
 def shift(F: Form, k: int) -> Form:
@@ -386,15 +381,6 @@ def factor_once(F: Form) -> tuple[Form, Form] | None:
     return None
 
 
-def factor_completely(F: Form) -> list[Form]:
-    """Convenience: recurse factor_once until all factors are irreducible."""
-    split = factor_once(F)
-    if split is None:
-        return [F]
-    f1, f2 = split
-    return factor_completely(f1) + factor_completely(f2)
-
-
 # -- basis changes ------------------------------------------------------------
 
 
@@ -407,25 +393,7 @@ def to_h_coeffs(F: Form) -> dict[int, Fraction]:
     }
 
 
-def from_h_coeffs(degree: int, coeffs: Mapping[int, Scalar]) -> Form:
-    """Inverse of to_h_coeffs (alternating-sum Moebius inversion)."""
-    n = degree - 1
-    out: dict[int, Fraction] = {}
-    for s in range(1 << n):
-        acc = Fraction(0)
-        rest = ((1 << n) - 1) & ~s
-        sub = rest
-        while True:
-            u = s | sub
-            c = Fraction(coeffs.get(u, 0))
-            if c:
-                acc += (-1 if (ranksets.popcount(sub) & 1) else 1) * c
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        if acc:
-            out[s] = acc
-    return Form(degree, out)
+
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -452,12 +420,6 @@ def eval_system(system: IntervalSystem, F: Form) -> Fraction:
             f"ambient {system.ambient_n} != degree - 1 = {F.degree - 1}"
         )
     return sum((c for s, c in F.terms() if is_blocker(s, system)), Fraction(0))
-
-
-def eval_singleton(mask: int, F: Form) -> Fraction:
-    """Sum the coefficients over supersets of the mask (h-coordinate)."""
-    ranksets.check_mask(mask, F.degree - 1)
-    return sum((c for s, c in F.terms() if s & mask == mask), Fraction(0))
 
 
 def limit_check(
@@ -499,14 +461,6 @@ def render_terms(letter: str, terms: Iterable[tuple[int, Scalar]]) -> str:
         else:
             parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts)
-
-
-def format_form(F: Form) -> str:
-    """Serialize: header with the degree, then one quoted term per line."""
-    lines = [f"form rank={F.degree}"]
-    for mask, c in F.terms():
-        lines.append(f'"{ranksets.to_string(mask)}" {c}')
-    return "\n".join(lines) + "\n"
 
 
 def parse_form(text: str) -> Form:

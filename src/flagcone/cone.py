@@ -329,7 +329,7 @@ def extreme_rays(n: int) -> ExtremeReport:
     Each ray keeps its integer coordinates and the active facets dd_rays
     read off its zero set, is converted to a form, and is classified
     against the lower-rank reports.  Ambients up to 4 take well under a
-    second; n = 5 (rank 6) takes about 0.42 s on one 2.1 GHz x86-64 core
+    second; n = 5 (rank 6) takes about 0.30 s on one 2.1 GHz x86-64 core
     (perfbench enumerate-r6, median of ten runs).  Reports are cached per
     ambient.
     """

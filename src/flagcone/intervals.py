@@ -16,16 +16,12 @@ from typing import Iterable, Iterator
 
 from . import ranksets
 
-#: blockers()/dual_ideal() enumerate all 2**n subsets; keep that bounded.
+#: blockers() enumerates all 2**n subsets; keep that bounded.
 MAX_AMBIENT = 20
 
 
 class AmbientTooLarge(ValueError):
     """Ambient n too large for exhaustive subset enumeration."""
-
-
-class AmbientMismatch(ValueError):
-    """Two systems on different ambients were compared."""
 
 
 class IntervalOutOfRange(ValueError):
@@ -146,36 +142,6 @@ def blockers(system: IntervalSystem) -> BlockerFamily:
     masks = [iv.mask for iv in system.intervals]
     members = frozenset(s for s in range(1 << n) if all(s & m for m in masks))
     return BlockerFamily(n, members)
-
-
-def dual_ideal(system: IntervalSystem) -> frozenset[int]:
-    """Rank sets containing at least one member interval outright.
-
-    Blockers of blockers: a set blocks every blocking set of the system
-    exactly when it contains some member interval whole.
-    """
-    n = system.ambient_n
-    _check_ambient(n)
-    masks = [iv.mask for iv in system.intervals]
-    return frozenset(s for s in range(1 << n) if any(s & m == m for m in masks))
-
-
-def minimal_intervals(system: IntervalSystem) -> IntervalSystem:
-    """The antichain of containment-minimal member intervals.
-
-    Removing non-minimal intervals changes neither the blocker family nor
-    the dual ideal.
-    """
-    ivs = system.sorted_intervals
-    keep = [a for a in ivs if not any(b != a and a.contains(b) for b in ivs)]
-    return IntervalSystem.of(system.ambient_n, keep)
-
-
-def blocker_equal(a: IntervalSystem, b: IntervalSystem) -> bool:
-    """Do two systems have the same blocking sets?"""
-    if a.ambient_n != b.ambient_n:
-        raise AmbientMismatch(f"ambient {a.ambient_n} != {b.ambient_n}")
-    return minimal_intervals(a) == minimal_intervals(b)
 
 
 def catalan(m: int) -> int:

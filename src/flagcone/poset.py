@@ -471,22 +471,6 @@ def partition_classes(
     return {m: tuple(cs) for m, cs in out.items()}
 
 
-# -- interval subposets ----------------------------------------------------
-
-
-def interval_subposet(P: GradedPoset, a: str, b: str) -> GradedPoset:
-    """The interval [a, b] of P as a graded poset in its own right."""
-    if not P.le(a, b):
-        raise NotComparable(f"{a!r} <= {b!r} fails")
-    members = {x for x in P.elements if P.le(a, x) and P.le(x, b)}
-    base = P.rank_of(a)
-    elems = [(x, P.rank_of(x) - base) for x in P.elements if x in members]
-    covers = [
-        (x, y) for x, y in P.covers if x in members and y in members
-    ]
-    return validate(elems, covers)
-
-
 # -- random posets ---------------------------------------------------------
 
 

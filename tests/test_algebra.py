@@ -16,14 +16,9 @@ from flagcone.algebra import (
     ZeroForm,
     compress,
     convolve,
-    convolve_all,
     eval_poset,
-    eval_singleton,
     eval_system,
-    factor_completely,
     factor_once,
-    format_form,
-    from_h_coeffs,
     h_form,
     largest_letter,
     leading_ones_factor,
@@ -42,8 +37,8 @@ from flagcone.intervals import IntervalSystem
 from flagcone.poset import (
     dual,
     flag_vector,
-    interval_subposet,
     random_graded_poset,
+    validate,
     witness_poset,
     WitnessSpec,
 )
@@ -53,6 +48,16 @@ f = Form.monomial
 
 def M(*elems: int) -> int:
     return ranksets.mask_of(elems)
+
+
+def interval(P, a, b):
+    """The interval [a, b] of P, for a <= b, as a graded poset of its own."""
+    members = {x for x in P.elements if P.le(a, x) and P.le(x, b)}
+    base = P.rank_of(a)
+    return validate(
+        [(x, P.rank_of(x) - base) for x in P.elements if x in members],
+        [(x, y) for x, y in P.covers if x in members and y in members],
+    )
 
 
 # the single rank-4 extreme ray not produced by lifting or convolution
@@ -145,6 +150,12 @@ class TestForm:
         with pytest.raises(DegreeMismatch):
             Form.from_vector(2, [1, 0, 1, 0])
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_from_vector_degree_below_one(self, degree):
+        # As in the constructor, not a bare ValueError from a negative shift.
+        with pytest.raises(DegreeMismatch, match="< 1"):
+            Form.from_vector(degree, [])
+
     def test_immutable_and_hashable(self):
         F = f(2, 1)
         with pytest.raises(AttributeError):
@@ -178,7 +189,7 @@ class TestConvolve:
         assert convolve(2, f(2, 1)) == f(2, 1) * 2
         assert convolve(f(2, 1), Fraction(1, 2)) == f(2, 1) / 2
         assert convolve(2, 3) == 6
-        assert convolve_all([2, f(1, 0), f(1, 0)]) == f(2, 1) * 2
+        assert convolve(convolve(2, f(1, 0)), f(1, 0)) == f(2, 1) * 2
 
     @given(forms(3), forms(3), forms(3))
     @settings(max_examples=60)
@@ -201,8 +212,8 @@ class TestConvolve:
         P = random_graded_poset(dm + dn, seed=seed + 50)
         F, G = random_form(rng, dm), random_form(rng, dn)
         expected = sum(
-            eval_poset(interval_subposet(P, P.bottom, x), F)
-            * eval_poset(interval_subposet(P, x, P.top), G)
+            eval_poset(interval(P, P.bottom, x), F)
+            * eval_poset(interval(P, x, P.top), G)
             for x in P.level(dm)
         )
         assert eval_poset(P, convolve(F, G)) == expected
@@ -368,10 +379,16 @@ class TestSupportAndFactors:
         assert convolve(F1, F2) == F
 
     def test_factor_completely(self):
-        F = convolve_all([f(1, 0), h_form(2, 1), f(1, 0)])
-        parts = factor_completely(F)
-        assert convolve_all(parts) == F
+        # factor_once on a product of three irreducibles, then once more on
+        # the side that still splits, gives the three back.
+        F = convolve(convolve(f(1, 0), h_form(2, 1)), f(1, 0))
+        parts = []
+        for part in factor_once(F):
+            split = factor_once(part)
+            parts += [part] if split is None else split
         assert len(parts) == 3
+        assert all(factor_once(p) is None for p in parts)
+        assert convolve(convolve(parts[0], parts[1]), parts[2]) == F
 
 
 class TestHBasis:
@@ -383,7 +400,17 @@ class TestHBasis:
     @given(forms(4))
     @settings(max_examples=60)
     def test_roundtrip(self, F):
-        assert from_h_coeffs(F.degree, to_h_coeffs(F)) == F
+        # Moebius inversion over supersets recovers the f-coefficients.
+        coords = to_h_coeffs(F)
+        full = (1 << (F.degree - 1)) - 1
+        back = {
+            s: sum(
+                (-1) ** ranksets.popcount(u & ~s) * coords[u]
+                for u in range(full + 1) if u & s == s
+            )
+            for s in range(full + 1)
+        }
+        assert Form(F.degree, back) == F
 
     def test_h_of_h_forms(self):
         # b_U(h_i) = [U == {i}] for i >= 1
@@ -409,11 +436,12 @@ class TestEvaluation:
         assert eval_system(IntervalSystem.empty(3), SPORADIC_RANK4) == 0
 
     def test_singleton_functional(self):
-        F = Form(4, {M(1, 3): 1, M(1): 2})
-        assert eval_singleton(M(1), F) == 3
-        assert eval_singleton(M(1, 3), F) == 1
-        assert eval_singleton(0, F) == 3
-        assert eval_singleton(M(3), F) == 1
+        # The h-coordinate of a mask sums the coefficients over its supersets.
+        coords = to_h_coeffs(Form(4, {M(1, 3): 1, M(1): 2}))
+        assert coords[M(1)] == 3
+        assert coords[M(1, 3)] == 1
+        assert coords[0] == 3
+        assert coords[M(3)] == 1
 
     def test_chain_sums_coefficients(self):
         P = witness_poset(WitnessSpec(3, IntervalSystem.empty(3), 1))
@@ -436,16 +464,12 @@ class TestEvaluation:
 
 
 class TestTextFormat:
-    def test_format(self):
-        text = format_form(SPORADIC_RANK4)
-        lines = text.strip().splitlines()
-        assert lines[0] == "form rank=4"
-        assert '"{1}" -1' in lines
-        assert '"{1,3}" 1' in lines
-
     def test_roundtrip(self):
         F = Form(3, {0: Fraction(-2, 3), M(1, 2): 4})
-        assert parse_form(format_form(F)) == F
+        text = f"form rank={F.degree}\n" + "".join(
+            f'"{ranksets.to_string(m)}" {c}\n' for m, c in F.terms()
+        )
+        assert parse_form(text) == F
 
     def test_parse_flexible(self):
         text = "form rank=3\n# comment\n{1} 2\n\"{1,2}\" -1/2\n"

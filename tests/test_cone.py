@@ -450,3 +450,18 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_flag_cone_facets_digest(self, n):
         assert rows_digest(flag_cone(n).facets) == PINNED_DIGESTS[n]
+
+    def test_rank7_frontier_digest(self):
+        # The intermediate cone the rank-7 run reaches after inserting
+        # facet_system(6)'s 64 basis rows and its first 175 other rows in
+        # lex-max order; dd_rays inserts exactly these rows first.  Each
+        # ray is pinned with its active rows.
+        rows = polyhedra._insertion_order(
+            polyhedra._integer_rows(facet_system(6).normal_matrix))
+        basis = polyhedra._independent_rows(rows, len(rows[0]))
+        chosen = set(basis)
+        others = [k for k in range(len(rows)) if k not in chosen]
+        rays = dd_rays([rows[k] for k in basis + others[:175]])
+        assert len(rays) == 931
+        assert rows_digest(r.coords + active for r, active in rays) == (
+            "be62c9ee534ed4bb79dc3ef6aaa331a0b31e3aa53d40c93d6a27efdc4cd4153b")

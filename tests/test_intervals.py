@@ -1,4 +1,4 @@
-"""Interval systems, blockers, dual ideals, antichain enumeration."""
+"""Interval systems, blockers, antichain enumeration."""
 
 from __future__ import annotations
 
@@ -9,19 +9,22 @@ from hypothesis import given, strategies as st
 
 from flagcone import ranksets
 from flagcone.intervals import (
-    AmbientMismatch,
     AmbientTooLarge,
     Interval,
     IntervalOutOfRange,
     IntervalSystem,
-    blocker_equal,
     blockers,
     catalan,
-    dual_ideal,
     enumerate_antichains,
     is_blocker,
-    minimal_intervals,
 )
+
+
+def minimal_intervals(system: IntervalSystem) -> IntervalSystem:
+    """Oracle: the antichain of containment-minimal member intervals."""
+    ivs = system.sorted_intervals
+    keep = [a for a in ivs if not any(b != a and a.contains(b) for b in ivs)]
+    return IntervalSystem.of(system.ambient_n, keep)
 
 
 def all_intervals(n: int) -> list[Interval]:
@@ -139,14 +142,8 @@ class TestDualIdeal:
         n = sys_.ambient_n
         fam = blockers(sys_).members  # never empty: [1,n] blocks anything
         bb = frozenset(t for t in range(1 << n) if all(t & s for s in fam))
-        assert bb == dual_ideal(sys_)
-
-    @given(systems())
-    def test_dual_ideal_upward_closed(self, sys_):
-        ideal = dual_ideal(sys_)
-        n = sys_.ambient_n
-        for s in ideal:
-            assert all((s | t) in ideal for t in range(1 << n))
+        masks = [iv.mask for iv in sys_.intervals]
+        assert bb == {t for t in range(1 << n) if any(t & m == m for m in masks)}
 
 
 class TestMinimalIntervals:
@@ -171,19 +168,18 @@ class TestBlockerEqual:
     def test_examples(self):
         a = IntervalSystem.of(3, [(1, 2), (1, 3)])
         b = IntervalSystem.of(3, [(1, 2)])
-        assert blocker_equal(a, b)
+        assert blockers(a).members == blockers(b).members
         c = IntervalSystem.of(3, [(2, 3)])
-        assert not blocker_equal(a, c)
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            blocker_equal(IntervalSystem.empty(2), IntervalSystem.empty(3))
+        assert blockers(a).members != blockers(c).members
 
     @given(systems())
     def test_agrees_with_blocker_families(self, sys_):
+        # Two systems have the same blocking sets exactly when their minimal
+        # antichains agree.
+        fam = blockers(sys_).members
         m = minimal_intervals(sys_)
-        assert blocker_equal(sys_, m)
-        assert blockers(sys_).members == blockers(m).members
+        for other in enumerate_antichains(sys_.ambient_n):
+            assert (blockers(other).members == fam) == (other == m)
 
 
 class TestEnumerateAntichains:

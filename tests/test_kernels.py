@@ -89,6 +89,17 @@ class TestPureKernel:
         keys = [(pos.index(i), neg.index(j)) for i, j in got]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_output_sorted_by_id(self, seed):
+        # Pairs come out sorted by (i, j), whatever the order of pos and neg.
+        masks, pos, neg, need = random_state(seed, nrays=20, nbits=24, density=0.6)
+        rng = random.Random(seed)
+        rng.shuffle(pos)
+        rng.shuffle(neg)
+        got = kernel(masks, pos, neg, need)
+        assert len(got) > 1
+        assert got == sorted(oracle_pairs(masks, pos, neg, need))
+
     def test_empty_sides(self):
         masks = [0b11, 0b10]
         assert kernel(masks, [], [1], 1) == []
@@ -110,15 +121,16 @@ class TestPureKernel:
         assert got == oracle_pairs(masks, pos, neg, need)
 
     def test_witness_is_not_the_partner(self):
-        # Ray 2 rules out (0, 1) and becomes the witness for ray 0; it must
-        # not then rule out (0, 2), in which it is the partner.
+        # Ray 2 rules out (0, 1) and joins ray 0's witness list; it must not
+        # then rule out (0, 2), in which it is the partner.
         masks = [0b1111, 0b0011, 0b0111]
         got = kernel(masks, [0], [1, 2], 2)
         assert got == [(0, 2)] == oracle_pairs(masks, [0], [1, 2], 2)
 
     def test_negative_witness_is_not_the_partner(self):
-        # Ray 1 rules out (0, 2) and becomes the witness for ray 2; it must
-        # not then rule out (1, 2), in which it is the partner.
+        # Ray 1 rules out (0, 2), and its prune keeps only the positive rays
+        # zero on row 3; ray 1 is not, but it is a later partner of ray 2,
+        # so it must survive its own prune.
         masks = [0b0011, 0b0111, 0b1111]
         got = kernel(masks, [0, 1], [2], 2)
         assert got == [(1, 2)] == oracle_pairs(masks, [0, 1], [2], 2)
@@ -126,18 +138,43 @@ class TestPureKernel:
     def test_list_entry_is_not_the_partner(self):
         # Ray 3 rules out (0, 1) and ray 4 rules out (0, 2), so ray 0's list
         # is [4, 3]: ray 3 sits behind the head when (0, 3) comes, in which
-        # it is the partner and must not rule the pair out.
+        # it is the partner and must not rule the pair out.  The pairs with
+        # ray 0 are the only ones, so no prune decides them.
         masks = [0b111111, 0b000011, 0b110000, 0b001111, 0b111100]
         got = kernel(masks, [0], [1, 2, 3], 2)
         assert got == [(0, 3)] == oracle_pairs(masks, [0], [1, 2, 3], 2)
 
     def test_negative_list_entry_is_not_the_partner(self):
-        # Ray 2 rules out (0, 3) and ray 4 rules out (1, 3), so ray 3's list
-        # is [4, 2]: ray 2 sits behind the head when (2, 3) comes, in which
-        # it is the partner and must not rule the pair out.
+        # Ray 2 rules out (0, 3) and ray 4 rules out (1, 3), both for the
+        # same negative ray 3.  Ray 2, a later partner of ray 3, survives the
+        # first prune by its own bit and the second because it is zero on
+        # rows 0 and 1, outside ray 4's zero set.
         masks = [0b000011, 0b110000, 0b001111, 0b111111, 0b111100]
         got = kernel(masks, [0, 1, 2], [3], 2)
         assert got == [(2, 3)] == oracle_pairs(masks, [0, 1, 2], [3], 2)
+
+    def test_list_witness_survives_its_prune(self):
+        # Ray 1 rules out (0, 2) by the AND scan and (0, 3) from ray 0's
+        # witness list.  Each time it is a later positive partner of the
+        # same negative ray, zero on no row of that ray's zero set outside
+        # its own, so each prune must keep it by its own bit.
+        masks = [0b001111, 0b111111, 0b010011, 0b100101]
+        got = kernel(masks, [0, 1], [2, 3], 2)
+        assert got == [(1, 2), (1, 3)] == oracle_pairs(masks, [0, 1], [2, 3], 2)
+
+    def test_one_prune_drops_several(self):
+        # Ray 1 rules out (2, 0); its prune drops rays 3 to 6 as well, whose
+        # common zero sets with ray 0 lie inside ray 1's (rows 0 to 2), and
+        # keeps ray 7, which is zero on row 3.  So the masks of rays 3 to 6
+        # are never read.
+        masks = CountingMasks([
+            0b001111, 0b110111, 0b010011, 0b100101,
+            0b000110, 0b110101, 0b010110, 0b001110,
+        ])
+        pos = list(range(2, 8))
+        got = kernel(masks, pos, [0], 2)
+        assert set(masks.read).isdisjoint(range(3, 7))
+        assert got == [(7, 0)] == oracle_pairs(masks, pos, [0], 2)
 
     @pytest.mark.parametrize("nbits", [64 * 16 + 1, 2000])
     def test_wide_masks(self, nbits):
@@ -164,6 +201,18 @@ class TestPureKernel:
         got = kernel(masks, pos, neg, need, dead)
         assert got
         assert got == oracle_pairs(masks, pos, neg, need, dead)
+
+
+class CountingMasks(list):
+    """A masks list recording the ids whose zero set the scan reads."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.read = []
+
+    def __getitem__(self, t):
+        self.read.append(t)
+        return super().__getitem__(t)
 
 
 class CountingLive(int):
@@ -270,9 +319,10 @@ def test_negative_witness_saves_and_chains(monkeypatch):
 @pytest.mark.parametrize("n, expected", [
     (4, 41), pytest.param(5, 796, marks=pytest.mark.slow)])
 def test_witness_lists_save_and_chains(monkeypatch, n, expected):
-    # Every witness found in a call stays on its rays' lists, so pairs the
-    # two last witnesses let through are ruled out without a chain: at rank
-    # 5, 128 chains against 139; at rank 6, 6,412 against 17,425.
+    # Every witness found in a call stays on its positive ray's list, and
+    # each one prunes the other positive rays it rules out, so pairs the two
+    # last witnesses let through are ruled out without a chain: at rank 5,
+    # 124 chains against 139; at rank 6, 5,973 against 17,425.
     rays, counts = chain_counts(monkeypatch, n, {
         "lists": adjacency_pairs, "two": two_witness_scan,
     })
@@ -280,3 +330,25 @@ def test_witness_lists_save_and_chains(monkeypatch, n, expected):
     assert 0 < counts["lists"] < counts["two"]
     if n == 5:
         assert 2 * counts["lists"] < counts["two"]
+
+
+@pytest.mark.slow
+def test_prune_skips_most_pairs(monkeypatch):
+    # Of the 287,198 positive/negative pairs of the rank-6 run, the scan
+    # reads fewer than a tenth.  Each examined pair reads its positive ray's
+    # zero set once, and the negative rays and witness choices read the
+    # rest, so the reads bound the examined pairs from above.
+    pairs = reads = 0
+
+    def spy(masks, zero_on, live, pos, neg, need):
+        nonlocal pairs, reads
+        counting = CountingMasks(masks)
+        got = adjacency_pairs(counting, zero_on, live, pos, neg, need)
+        pairs += len(pos) * len(neg)
+        reads += len(counting.read)
+        return got
+
+    monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+    assert len(polyhedra.dd_rays(facet_system(5).normal_matrix)) == 796
+    assert pairs == 287198
+    assert reads < pairs // 10

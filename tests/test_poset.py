@@ -20,7 +20,6 @@ from flagcone.poset import (
     flag_number,
     flag_vector,
     format_poset,
-    interval_subposet,
     next_selected_rank,
     parse_poset,
     partition_classes,
@@ -299,21 +298,6 @@ class TestChainPartition:
                 members = blockers(system).members
                 for mask in range(1 << P.n):
                     assert (chain in classes[mask]) == (mask in members)
-
-
-class TestIntervalSubposet:
-    def test_lower_interval(self, fig_poset):
-        sub = interval_subposet(fig_poset, fig_poset.bottom, "(2;1,1)")
-        assert sub.rank == 2
-        assert len(sub) == 3
-
-    def test_whole(self, fig_poset):
-        sub = interval_subposet(fig_poset, fig_poset.bottom, fig_poset.top)
-        assert len(sub) == 10
-
-    def test_not_comparable(self, fig_poset):
-        with pytest.raises(NotComparable):
-            interval_subposet(fig_poset, "(1;1,*)", "(1;2,*)")
 
 
 class TestRandomPoset:
