@@ -33,6 +33,16 @@ class ZeroForm(ValueError):
     """The operation is undefined on the zero form."""
 
 
+# One Fraction object per small integer, for coefficients built in bulk:
+# the extreme forms' coefficients are mostly +1 and -1.
+_SMALL_INTEGERS = {k: Fraction(k) for k in range(-16, 17)}
+
+
+def _shared(c: Fraction) -> Fraction:
+    """c, or the equal Fraction of _SMALL_INTEGERS when there is one."""
+    return _SMALL_INTEGERS.get(c, c)
+
+
 class Form:
     """Sparse exact-rational combination of the f_S basis in one degree."""
 
@@ -70,11 +80,21 @@ class Form:
             )
         # The masks of a full-length vector are distinct, ascending and in
         # range, so nothing of __init__ but the Fraction conversion applies.
+        return cls._trusted(
+            degree, {m: Fraction(c) for m, c in enumerate(vec) if c}
+        )
+
+    @classmethod
+    def _trusted(cls, degree: int, coeffs: dict[int, Fraction]) -> "Form":
+        """A form holding `coeffs` as given, without __init__'s checks.
+
+        The caller guarantees what __init__ would establish: the masks are
+        distinct, ascending and in range for `degree`, and every value is a
+        nonzero Fraction.
+        """
         form = object.__new__(cls)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(
-            form, "_coeffs", {m: Fraction(c) for m, c in enumerate(vec) if c}
-        )
+        object.__setattr__(form, "_coeffs", coeffs)
         return form
 
     # -- inspection ----------------------------------------------------------
@@ -176,13 +196,16 @@ def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
     if not isinstance(G, Form):
         return F * G
     m = F.degree
-    out: dict[int, Fraction] = {}
-    for s, a in F.terms():
-        base = s | (1 << (m - 1))
-        for t, b in G.terms():
-            key = base | (t << m)
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return Form(m + G.degree, out)
+    junction = 1 << (m - 1)
+    # S sits below the junction letter and T + m above it, so each pair of
+    # terms gives its own mask, and with T in the outer loop the masks
+    # ascend.  Products of nonzero coefficients are nonzero; small integral
+    # ones share one Fraction object each.
+    return Form._trusted(m + G.degree, {
+        s | junction | (t << m): _shared(a * b)
+        for t, b in G.terms()
+        for s, a in F.terms()
+    })
 
 
 def shift(F: Form, k: int) -> Form:
@@ -196,7 +219,10 @@ def shift(F: Form, k: int) -> Form:
     if not (0 <= k <= n):
         raise BadShiftIndex(f"k = {k} outside [0, {n}]")
     low = (1 << k) - 1
-    return Form(
+    # Inserting a zero bit at position k is strictly increasing on masks, so
+    # the image masks stay distinct, ascending and in range, and F's nonzero
+    # Fraction coefficients carry over as they are.
+    return Form._trusted(
         F.degree + 1,
         {(s & low) | ((s & ~low) << 1): c for s, c in F.terms()},
     )

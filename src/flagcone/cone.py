@@ -34,7 +34,7 @@ from .intervals import (
     blockers,
     enumerate_antichains,
 )
-from .polyhedra import Ray, Scalar, canonicalize, dd_rays, matrix_rank
+from .polyhedra import Ray, Scalar, _independent_rows, canonicalize, dd_rays
 from .poset import WitnessSpec
 
 __all__ = [
@@ -238,23 +238,33 @@ def is_extreme(F: Form) -> bool:
     """Does the form span an extreme ray of its cone?
 
     True exactly when the facet normals vanishing on F have rank 2^n - 1,
-    one less than the ambient dimension.  One sweep over the facet values
-    both checks membership and collects the vanishing normals.  A form
+    one less than the ambient dimension (Fukuda & Prodon 1996).  One sweep
+    over the facet values both checks membership and collects the
+    vanishing normals.  It runs in integers, over form_to_ray(F): a
+    positive scaling keeps every value's sign and every zero.  A form
     outside the cone raises NotInCone naming the first violated antichain,
-    the one contains(F).violated reports; a zero form is not extreme.
+    the one contains(F).violated reports.
+
+    The rank test picks independent active normals with the echelon
+    routine of polyhedra and stops once it has 2^n - 1 of them.  That is
+    exact because F, being nonzero, lies in the kernel of its active
+    normals, so their rank is at most 2^n - 1.  The zero form lies in every
+    kernel and has no canonical ray, so it is turned away first: it is not
+    extreme.
     """
     n = _check_degree(F)
+    if F.is_zero:
+        return False
     fs = facet_system(n)
+    ray = form_to_ray(F).coords
     active = []
-    for (sys_, normal), value in zip(fs.facets, fs.values(F.vector())):
+    for (sys_, normal), value in zip(fs.facets, fs.values(ray)):
         if value < 0:
             raise NotInCone(f"form violates the facet at {sys_}")
         if value == 0:
             active.append(normal.coords)
     target = (1 << n) - 1
-    if not active:
-        return target == 0
-    return matrix_rank(active) == target
+    return len(_independent_rows(active, target)) == target
 
 
 @dataclass(frozen=True)

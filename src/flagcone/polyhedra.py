@@ -5,7 +5,8 @@ arbitrary-precision rational data: dd_rays turns a system of inequalities
 into the complete list of extreme rays.  Everything is exact; there is no
 floating point anywhere on a decision path, and integer input builds no
 Fraction.  One fraction-free echelon routine, _independent_rows, gives
-matrix_rank and the first d independent rows of dd_rays.
+matrix_rank, the first d independent rows of dd_rays and the rank test of
+cone.is_extreme, which stops once the active rows reach rank d - 1.
 
 The double description implementation starts from the rays of those d
 rows (the columns of their inverse, _inverse_columns) and inserts the
@@ -156,10 +157,10 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 
     Greedy in the given order, stopping once `limit` rows are picked, so
     with `limit` the column count it returns a row basis.  This one echelon
-    routine serves matrix_rank and the dd_rays initial basis.  Each row is
-    reduced against the picked rows by fraction-free elimination and
-    divided by its gcd after every step, so entries stay small even on
-    dense input.
+    routine serves matrix_rank, the dd_rays initial basis and
+    cone.is_extreme.  Each row is reduced against the picked rows by
+    fraction-free elimination and divided by its gcd after every step, so
+    entries stay small even on dense input.
     """
     picked: list[int] = []
     pivots: list[tuple[int, list[int]]] = []

@@ -203,6 +203,37 @@ class TestConvolve:
             b, c = b, Form(b.degree)
         assert convolve(a, b + c) == convolve(a, b) + convolve(a, c)
 
+    def test_matches_constructor(self):
+        # convolve builds its coefficients without Form.__init__; on every
+        # pair of extreme forms up to rank 5, and on random forms with
+        # fractional coefficients, it must give the form the constructor
+        # gives from the basis rule.
+        from flagcone.cone import extreme_rays
+
+        rng = random.Random(3)
+        pairs = [
+            (e.form, g.form)
+            for a in range(4) for b in range(4 - a)
+            for e in extreme_rays(a).rays for g in extreme_rays(b).rays
+        ]
+        for _ in range(40):
+            F = random_form(rng, rng.randint(1, 3)) * Fraction(rng.randint(1, 5), 3)
+            pairs.append((F, random_form(rng, rng.randint(1, 3))))
+        for F, G in pairs:
+            m = F.degree
+            H = convolve(F, G)
+            expected = Form(m + G.degree, [
+                (s | ranksets.mask_of([m]) | (t << m), a * b)
+                for s, a in F.terms() for t, b in G.terms()
+            ])
+            assert H == expected
+            assert hash(H) == hash(expected)
+            assert repr(H) == repr(expected)
+            assert str(H) == str(expected)
+            masks = [s for s, _ in H.terms()]
+            assert masks == sorted(set(masks))
+            assert all(type(c) is Fraction and c for _, c in H.terms())
+
     @pytest.mark.parametrize("seed", range(10))
     def test_splits_posets_at_the_junction(self, seed):
         """Oracle: (F*G)(P) sums F(lower interval) * G(upper interval) over
@@ -240,6 +271,33 @@ class TestShift:
         assert G.degree == F.degree + 1
         for s in G.support:
             assert not (s >> k) & 1
+
+    def test_matches_constructor_on_extreme_forms(self):
+        # shift builds its coefficients without Form.__init__; on every
+        # extreme form of rank <= 5 and every index it must give the form
+        # the constructor gives, letter by letter: j <= k stays, j > k moves
+        # to j + 1.
+        from flagcone.cone import extreme_rays
+
+        checked = 0
+        for n in range(5):
+            for entry in extreme_rays(n).rays:
+                F = entry.form
+                for k in range(F.degree):
+                    G = shift(F, k)
+                    expected = Form(F.degree + 1, {
+                        ranksets.mask_of(j if j <= k else j + 1
+                                         for j in ranksets.elems_of(s)): c
+                        for s, c in F.terms()
+                    })
+                    assert G == expected
+                    assert hash(G) == hash(expected)
+                    assert repr(G) == repr(expected)
+                    assert str(G) == str(expected)
+                    masks = [s for s, _ in G.terms()]
+                    assert masks == sorted(set(masks))
+                    checked += 1
+        assert checked == 1 * 1 + 2 * 2 + 5 * 3 + 13 * 4 + 41 * 5
 
 
 class TestProjections:

@@ -174,7 +174,8 @@ class TestIsExtreme:
             is_extreme(Form(3, {0: -1}))
 
     def test_zero_form_not_extreme(self):
-        assert not is_extreme(Form(2))
+        for degree in range(1, 8):
+            assert not is_extreme(Form(degree))
 
     def test_one_sweep_without_contains(self, monkeypatch):
         # The facet sweep of is_extreme decides membership itself.
@@ -209,6 +210,136 @@ class TestIsExtreme:
                     is_extreme(F)
                 assert str(exc.value) == f"form violates the facet at {result.violated}"
         assert outside > 50
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fractions, run to the end."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_is_extreme(F: Form) -> bool:
+    """is_extreme the long way: Fraction facet sums, full Fraction rank.
+
+    Needs no zero-form case: every facet vanishes on the zero form, and
+    the facet normals have full rank 2^n, not 2^n - 1.
+    """
+    n = F.degree - 1
+    vec = F.vector()
+    active = []
+    for sys_, normal in facet_system(n).facets:
+        value = sum(a * b for a, b in zip(normal.coords, vec))
+        if value < 0:
+            raise NotInCone(f"form violates the facet at {sys_}")
+        if value == 0:
+            active.append(normal.coords)
+    return fraction_rank(active) == (1 << n) - 1
+
+
+def verdict(decide, F: Form):
+    """True/False, or the NotInCone message."""
+    try:
+        return decide(F)
+    except NotInCone as exc:
+        return str(exc)
+
+
+class TestIsExtremeExact:
+    # is_extreme sweeps the facets in integers and stops its rank scan at
+    # 2^n - 1; both must leave every verdict and message as they were.
+
+    def test_agrees_with_reference_on_generated_candidates(self, monkeypatch):
+        # Every lift and non-excluded product generate_extremes builds for
+        # n <= 4, before it drops the ones that are not extreme.
+        candidates = []
+
+        def spy(F):
+            candidates.append(F)
+            return is_extreme(F)
+
+        monkeypatch.setattr(cone, "is_extreme", spy)
+        generate_extremes(4)
+        assert sorted({F.degree for F in candidates}) == [2, 3, 4, 5]
+        assert len(candidates) == 52
+        for F in candidates:
+            assert is_extreme(F) == reference_is_extreme(F)
+
+    def test_agrees_with_reference_on_random_forms(self):
+        # Scaled by a random Fraction; outside forms compare their NotInCone
+        # messages.
+        rng = random.Random(12)
+        extremes = {n: extreme_rays(n).forms for n in range(5)}
+        kinds = set()
+        for _ in range(300):
+            degree = rng.randint(1, 5)
+            pick = rng.randrange(4)
+            if pick == 0:
+                F = random_form(degree, rng)
+            elif pick == 1:
+                F = sparse_form(degree, rng)
+            elif pick == 2:
+                F = rng.choice(extremes[degree - 1])
+            else:
+                F = rng.choice(extremes[degree - 1]) + rng.choice(extremes[degree - 1])
+            F = F * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            expected = verdict(reference_is_extreme, F)
+            assert verdict(is_extreme, F) == expected
+            kinds.add(type(expected) if isinstance(expected, str) else expected)
+        assert kinds == {str, True, False}
+
+    def test_facet_sweep_sees_only_ints(self, monkeypatch):
+        swept = []
+        values = cone.FacetSystem.values
+
+        def spy(self, vec):
+            swept.append(tuple(vec))
+            return values(self, vec)
+
+        monkeypatch.setattr(cone.FacetSystem, "values", spy)
+        forms = [BANKER * Fraction(1, 3), Form(4, {M(2): Fraction(3, 4)}),
+                 Form(3, {0: Fraction(-1, 2)})]
+        forms += [e.form * Fraction(2, 7) for e in extreme_rays(3).rays]
+        for F in forms:
+            verdict(is_extreme, F)
+        assert len(swept) == len(forms)
+        assert all(type(x) is int for vec in swept for x in vec)
+
+
+class TestConvolutionTheorem:
+    # Convolution assigns extreme rays to pairs of extreme rays except for
+    # the family _excluded_product names; shifting keeps every ray extreme.
+    # Both are read off extreme_rays(n).ray_set, the double description.
+
+    @pytest.mark.parametrize(
+        "n, kept, excluded",
+        [(1, 0, 1), (2, 2, 2), (3, 9, 5), (4, 32, 14),
+         pytest.param(5, 119, 40, marks=pytest.mark.slow)],
+    )
+    def test_products_and_shifts(self, n, kept, excluded):
+        rays = extreme_rays(n).ray_set
+        inside = {True: [], False: []}
+        for a in range(1, n + 1):
+            for F in extreme_rays(a - 1).forms:
+                for G in extreme_rays(n - a).forms:
+                    H = convolve(F, G)
+                    inside[cone._excluded_product(F, G)].append(
+                        form_to_ray(H).coords in rays)
+        assert inside[False] == [True] * kept
+        assert inside[True] == [False] * excluded
+        for F in extreme_rays(n - 1).forms:
+            for k in range(n):
+                assert form_to_ray(shift(F, k)).coords in rays
 
 
 class TestExtremeRays:
