@@ -285,10 +285,6 @@ def reflect(F: Form) -> Form:
 # -- support and factorization ----------------------------------------------
 
 
-def support(F: Form) -> frozenset[int]:
-    return F.support
-
-
 def largest_letter(F: Form) -> int:
     """Largest letter used by any support set; 0 when only f_empty occurs."""
     if F.is_zero:

@@ -369,56 +369,36 @@ def _excluded_product(F: Form, G: Form) -> bool:
 def generate_extremes(n: int) -> list[Form]:
     """Degree-(n+1) extremes derived by lifting and convolution.
 
-    Recursively builds the full extreme sets of all lower ranks: the forms
-    derived at each rank k < n, plus the rays that extreme_rays(k) tags
-    `new`.  It then lifts the rank-n set through every shift index and
-    convolves every compatible lower pair.  Candidates failing the
-    extremeness rank test are dropped, and the output is deduplicated by
-    canonical ray and reported in canonical ray order.
+    Takes the complete extreme sets of every lower rank from extreme_rays,
+    lifts each rank-n form through every shift index, and convolves every
+    pair of lower-rank forms whose degrees sum to n + 1 unless
+    _excluded_product rules the pair out.  Candidates are deduplicated by
+    canonical ray (the first form reaching a ray is kept), those failing
+    the extremeness rank test are dropped, and the rest are reported in
+    canonical ray order.
 
-    Nothing is added at ambient n itself, so the result is the derived
-    subset: what lifting and convolution alone reach.  Completeness at the
-    top rank comes only from extreme_rays.
+    The result is the derived subset of the top rank: what lifting and
+    convolution alone reach.  It reads no provenance tags, so it does not
+    depend on classify; completeness at the top rank comes only from
+    extreme_rays(n).
     """
-    new = {
-        k: [e.form for e in extreme_rays(k).tagged("new")] for k in range(1, n)
-    }
-    full: dict[int, dict[tuple[int, ...], Form]] = {}
-
-    def full_set(k: int) -> dict[tuple[int, ...], Form]:
-        if k in full:
-            return full[k]
-        if k == 0:
-            out = {form_to_ray(Form(1, {0: 1})).coords: Form(1, {0: 1})}
-        else:
-            out = dict(derived(k))
-            for F in new[k]:
-                out[form_to_ray(F).coords] = F
-        full[k] = out
-        return out
-
-    def derived(k: int) -> dict[tuple[int, ...], Form]:
-        out: dict[tuple[int, ...], Form] = {}
-        for F in full_set(k - 1).values():
-            for i in range(k):
-                lifted = shift(F, i)
-                out.setdefault(form_to_ray(lifted).coords, lifted)
-        for a in range(1, k + 1):
-            b = k + 1 - a
-            for F in full_set(a - 1).values():
-                for G in full_set(b - 1).values():
-                    if _excluded_product(F, G):
-                        continue
-                    H = convolve(F, G)
-                    out.setdefault(form_to_ray(H).coords, H)
-        return {
-            coords: F for coords, F in out.items() if is_extreme(F)
-        }
-
     if n == 0:
         return [Form(1, {0: 1})]
-    result = derived(n)
-    return [result[c] for c in sorted(result)]
+    full = [extreme_rays(k).forms for k in range(n)]
+    candidates: dict[tuple[int, ...], Form] = {}
+    for F in full[n - 1]:
+        for i in range(n):
+            lifted = shift(F, i)
+            candidates.setdefault(form_to_ray(lifted).coords, lifted)
+    for a in range(1, n + 1):
+        for F in full[a - 1]:
+            for G in full[n - a]:
+                if not _excluded_product(F, G):
+                    H = convolve(F, G)
+                    candidates.setdefault(form_to_ray(H).coords, H)
+    return [
+        candidates[c] for c in sorted(candidates) if is_extreme(candidates[c])
+    ]
 
 
 @dataclass(frozen=True)
@@ -442,5 +422,5 @@ def flag_cone(n: int) -> ConeDescription:
     The facets are the rays of extreme_rays(n) in its double description
     output order (lexicographic); a cached report runs nothing.
     """
-    facets = tuple(sorted(extreme_rays(n).ray_set))
+    facets = tuple(e.ray for e in extreme_rays(n).rays)
     return ConeDescription(n, facet_system(n).facets, facets)

@@ -39,8 +39,8 @@ class NotComparable(ValueError):
 class GradedPoset:
     """Validated graded poset.  Build through validate() or the constructors.
 
-    Levels keep the input order of elements; that order is the default rank
-    numbering used by the chain-partition operators.
+    Levels keep the input order of elements; the chain-partition operators
+    read "first" in that order.
     """
 
     __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down", "_reach_cache", "_above")
@@ -96,7 +96,7 @@ class GradedPoset:
         return self._rank_of[x]
 
     def position(self, x: str) -> int:
-        """Index of x within its level (the default rank numbering)."""
+        """Index of x within its level, in input order."""
         return self._pos[x]
 
     def up_covers(self, x: str) -> tuple[str, ...]:
@@ -384,28 +384,20 @@ def next_selected_rank(mask: int, i: int, n: int) -> int:
     return n + 1
 
 
-def _order_key(P: GradedPoset, numbering, x: str) -> int:
-    if numbering is None:
-        return P.position(x)
-    return numbering[x]
+def first_atom(P: GradedPoset, p: str, q: str) -> str:
+    """Earliest atom of the interval [p, q] in within-level order.
 
-
-def first_atom(P: GradedPoset, p: str, q: str, numbering=None) -> str:
-    """Earliest atom of the interval [p, q] under the rank numbering.
-
-    Atoms are the covers of p that stay below q; the numbering defaults to
-    the within-level input order and may be overridden by a mapping from
-    element to sort key.
+    Atoms are the covers of p that stay below q; the earliest is the one
+    of least P.position.  To order a level differently, build the poset
+    with that level's elements in the wanted order.
     """
     if not P.lt(p, q):
         raise NotComparable(f"{p!r} < {q!r} fails")
     atoms = [z for z in P.up_covers(p) if P.le(z, q)]
-    return min(atoms, key=lambda z: _order_key(P, numbering, z))
+    return min(atoms, key=P.position)
 
 
-def chain_interval_system(
-    P: GradedPoset, chain: Sequence[str], numbering=None
-) -> IntervalSystem:
+def chain_interval_system(P: GradedPoset, chain: Sequence[str]) -> IntervalSystem:
     """The interval system I_C recording how far each chain element stays first.
 
     For each rank i, take the largest j such that the chain's rank-i element
@@ -419,7 +411,7 @@ def chain_interval_system(
     for i in range(1, n + 1):
         psi = i
         for j in range(n + 1, i - 1, -1):
-            if chain[i] == first_atom(P, chain[i - 1], chain[j], numbering):
+            if chain[i] == first_atom(P, chain[i - 1], chain[j]):
                 psi = j
                 break
         if psi != n + 1:
@@ -435,16 +427,13 @@ def _check_maximal_chain(P: GradedPoset, chain: Sequence[str]) -> None:
             raise ValueError(f"({lo!r}, {hi!r}) is not a cover")
 
 
-def partition_classes(
-    P: GradedPoset, numbering=None
-) -> dict[int, tuple[tuple[str, ...], ...]]:
+def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
     """For every rank set S, the maximal chains in the class F_S.
 
     A chain C belongs to F_S when each of its elements is the first atom of
     the interval from its predecessor up to the chain element at the next
     S-selected rank.  The class sizes reproduce the flag numbers, and
-    membership is equivalent to S blocking chain_interval_system(C) under
-    the same numbering.
+    membership is equivalent to S blocking chain_interval_system(C).
     """
     n = P.n
     chains = P.maximal_chains()
@@ -454,7 +443,7 @@ def partition_classes(
         key = (p, q)
         got = atom_cache.get(key)
         if got is None:
-            got = atom_cache[key] = first_atom(P, p, q, numbering)
+            got = atom_cache[key] = first_atom(P, p, q)
         return got
 
     out: dict[int, list[tuple[str, ...]]] = {m: [] for m in range(1 << n)}
@@ -504,7 +493,7 @@ def random_graded_poset(rank: int, seed: int = 0) -> GradedPoset:
 
 
 def format_poset(P: GradedPoset) -> str:
-    """Serialize: header, elem lines by (rank, numbering), cover lines."""
+    """Serialize: header, elem lines by (rank, position), cover lines."""
     lines = [f"poset rank={P.rank}"]
     for r in range(P.rank + 1):
         for x in P.level(r):

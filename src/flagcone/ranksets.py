@@ -70,10 +70,6 @@ def subsets(n: int) -> Iterator[int]:
     return iter(range(1 << n))
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def labels(n: int) -> list[str]:
     """Column labels for vectors indexed by subsets of [1, n]."""
     return [to_string(m) for m in range(1 << n)]

@@ -463,7 +463,7 @@ class TestHBasis:
         full = (1 << (F.degree - 1)) - 1
         back = {
             s: sum(
-                (-1) ** ranksets.popcount(u & ~s) * coords[u]
+                (-1) ** (u & ~s).bit_count() * coords[u]
                 for u in range(full + 1) if u & s == s
             )
             for s in range(full + 1)

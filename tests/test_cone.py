@@ -261,7 +261,7 @@ class TestIsExtremeExact:
 
     def test_agrees_with_reference_on_generated_candidates(self, monkeypatch):
         # Every lift and non-excluded product generate_extremes builds for
-        # n <= 4, before it drops the ones that are not extreme.
+        # 1 <= n <= 4, before it drops the ones that are not extreme.
         candidates = []
 
         def spy(F):
@@ -269,7 +269,8 @@ class TestIsExtremeExact:
             return is_extreme(F)
 
         monkeypatch.setattr(cone, "is_extreme", spy)
-        generate_extremes(4)
+        for n in range(1, 5):
+            generate_extremes(n)
         assert sorted({F.degree for F in candidates}) == [2, 3, 4, 5]
         assert len(candidates) == 52
         for F in candidates:
@@ -490,6 +491,17 @@ class TestGenerateExtremes:
         for n in (2, 3, 4):
             for F in generate_extremes(n):
                 assert is_extreme(F)
+
+    def test_reads_no_tags(self, monkeypatch):
+        # Every lower-rank ray is lifted and convolved whatever classify
+        # tags it, so tagging every ray "lift" changes nothing.
+        expected = [repr(F) for F in generate_extremes(4)]
+        monkeypatch.setattr(cone, "classify", lambda F, lower: "lift")
+        extreme_rays.cache_clear()
+        try:
+            assert [repr(F) for F in generate_extremes(4)] == expected
+        finally:
+            extreme_rays.cache_clear()
 
 
 class TestFlagCone:

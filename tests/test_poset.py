@@ -59,15 +59,14 @@ def brute_flag_number(P: GradedPoset, mask: int) -> int:
     return total
 
 
-def sample_numbering(P: GradedPoset, rng: random.Random) -> dict[str, int]:
-    """Random per-level permutation as an explicit numbering map."""
-    key: dict[str, int] = {}
+def sample_numbering(P: GradedPoset, rng: random.Random) -> GradedPoset:
+    """P rebuilt with each level randomly permuted: another numbering."""
+    elements = []
     for r in range(P.rank + 1):
         order = list(P.level(r))
         rng.shuffle(order)
-        for i, x in enumerate(order):
-            key[x] = i
-    return key
+        elements += [(x, r) for x in order]
+    return validate(elements, P.covers)
 
 
 class TestValidate:
@@ -245,13 +244,13 @@ class TestFirstAtom:
             first_atom(fig_poset, fig_poset.bottom, fig_poset.bottom)
 
     def test_numbering_override(self, fig_poset):
-        reversed_numbering = {
-            x: -fig_poset.position(x) for x in fig_poset.elements
-        }
-        assert (
-            first_atom(fig_poset, fig_poset.bottom, fig_poset.top, reversed_numbering)
-            == "(1;2,*)"
+        P = validate(
+            [(x, r) for r in range(fig_poset.rank + 1)
+             for x in reversed(fig_poset.level(r))],
+            fig_poset.covers,
         )
+        assert first_atom(P, P.bottom, P.top) == "(1;2,*)"
+        assert first_atom(fig_poset, fig_poset.bottom, fig_poset.top) == "(1;1,*)"
 
 
 class TestChainPartition:
@@ -289,12 +288,12 @@ class TestChainPartition:
         rng = random.Random(seed)
         P = random_graded_poset(rng.randint(2, 4), seed=seed + 100)
         for _ in range(3):
-            numbering = sample_numbering(P, rng)
-            classes = partition_classes(P, numbering)
+            Q = sample_numbering(P, rng)
+            classes = partition_classes(Q)
             for mask in range(1 << P.n):
                 assert len(classes[mask]) == flag_number(P, mask)
-            for chain in P.maximal_chains():
-                system = chain_interval_system(P, chain, numbering)
+            for chain in Q.maximal_chains():
+                system = chain_interval_system(Q, chain)
                 members = blockers(system).members
                 for mask in range(1 << P.n):
                     assert (chain in classes[mask]) == (mask in members)
