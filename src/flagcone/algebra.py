@@ -172,14 +172,6 @@ class Form:
         return f"Form({self.degree}, {self._coeffs!r})"
 
 
-def h_form(degree: int, i: int = 0) -> Form:
-    """h_i = f_i - f_empty for i >= 1; h_0 denotes h_empty = f_empty."""
-    if i == 0:
-        return Form.monomial(degree, 0)
-    ranksets.check_mask(1 << (i - 1), degree - 1)
-    return Form(degree, {1 << (i - 1): 1, 0: -1})
-
-
 # -- convolution and friends -------------------------------------------------
 
 
@@ -338,28 +330,6 @@ def leading_ones_factor(F: Form) -> tuple[Form | Fraction, int]:
         return F, 0
     k = mins.pop()
     return Form(F.degree - k, {s >> k: c for s, c in F.terms()}), k
-
-
-def compress(F: Form) -> Form:
-    """Relabel the used letters onto an initial segment, lowering the degree.
-
-    A form whose support union misses some letter is extreme in its cone
-    exactly when its compression is extreme in the smaller cone.
-    """
-    if F.is_zero:
-        raise ZeroForm("compressing the zero form")
-    union = 0
-    for s in F.support:
-        union |= s
-    letters = ranksets.elems_of(union)
-    pos = {l: i + 1 for i, l in enumerate(letters)}
-    return Form(
-        len(letters) + 1,
-        {
-            ranksets.mask_of(pos[e] for e in ranksets.elems_of(s)): c
-            for s, c in F.terms()
-        },
-    )
 
 
 def factor_once(F: Form) -> tuple[Form, Form] | None:

@@ -380,8 +380,10 @@ def generate_extremes(n: int) -> list[Form]:
     The result is the derived subset of the top rank: what lifting and
     convolution alone reach.  It reads no provenance tags, so it does not
     depend on classify; completeness at the top rank comes only from
-    extreme_rays(n).
+    extreme_rays(n).  An ambient outside [0, MAX_MEMBERSHIP_AMBIENT] fails
+    in facet_system before any lower rank is enumerated.
     """
+    facet_system(n)
     if n == 0:
         return [Form(1, {0: 1})]
     full = [extreme_rays(k).forms for k in range(n)]

@@ -12,7 +12,8 @@ The double description implementation starts from the rays of those d
 rows (the columns of their inverse, _inverse_columns) and inserts the
 other inequality rows one at a time, in descending lexicographic order,
 keeping the extreme rays of the intermediate cone as tuples of plain
-Python ints.  Each ray keeps one id for the whole run.  Its zero set over
+Python ints.  Repeated and all-zero rows are inserted too, not
+deduplicated.  Each ray keeps one id for the whole run.  Its zero set over
 the rows inserted so far is a bitmask, and the transposed incidence (for
 each inserted row, the bitset of ray ids zero on it) is kept alongside;
 both are updated incrementally, never rebuilt.  Adjacency of a
@@ -29,8 +30,9 @@ common zero set with the same negative ray lies inside its own zero set
 (bitset subset pruning in the line of Terzer & Stelling's bit-pattern
 trees, Bioinformatics 2008).  On facet_system(5) the scan examines 13,262
 of the 287,198 positive/negative pairs, and 5,973 of them reach the AND
-scan.  The final zero sets are the rays' incidences: dd_rays returns each
-ray with the indices of the input rows that vanish on it.
+scan.  Bit k of a zero set stands for row k of the input, so the final
+zero sets are the rays' incidences: dd_rays returns each ray with the
+indices of the input rows that vanish on it.
 """
 
 from __future__ import annotations
@@ -123,16 +125,16 @@ def canonicalize(v: Sequence[Scalar]) -> Ray:
     return Ray(tuple(x // g for x in ints))
 
 
-def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...] | None]:
-    """Scale each row to coprime integers; a zero row gives None.
+def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """Scale each row to coprime integers; a zero row stays a zero tuple.
 
     An all-int row is divided by its gcd; only a row holding a Fraction goes
     through canonicalize.
     """
-    out: list[tuple[int, ...] | None] = []
+    out: list[tuple[int, ...]] = []
     for row in rows:
         if not any(row):
-            out.append(None)
+            out.append((0,) * len(row))
         elif all(isinstance(x, int) for x in row):
             g = gcd(*row)
             out.append(tuple([x // g for x in row]))
@@ -187,8 +189,7 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 def matrix_rank(A: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank: the number of independent rows of A scaled to integers."""
     rows = _as_rows(A)
-    ints = [row for row in _integer_rows(rows) if row is not None]
-    return len(_independent_rows(ints, len(rows[0])))
+    return len(_independent_rows(_integer_rows(rows), len(rows[0])))
 
 
 def _inverse_columns(B: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -309,29 +310,18 @@ def adjacency_pairs(
     return out
 
 
-def _insertion_order(rows: Iterable[tuple[int, ...] | None]) -> list[tuple[int, ...]]:
-    """The distinct scaled rows in the order dd_rays inserts them.
-
-    rows is the output of _integer_rows; its None entries (zero rows) are
-    left out.  Descending lexicographic order ("lex-max").  On the 0/1
-    facet systems of this package it keeps the intermediate frontier small:
-    at rank 6 it peaks at 1,070 rays, against 1,791 for ascending nonzero
-    count.
-    """
-    return sorted({row for row in rows if row is not None}, reverse=True)
-
-
 def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     """Extreme rays of the pointed cone {x : Ax >= 0}, each with its incidence.
 
     Returns (ray, active) pairs, where active is the ascending tuple of the
-    indices of the rows of A that vanish on the ray.  It is read off the
-    final zero-set bitmasks: every row of A that scales to an inserted row
-    is active wherever that row is, and an all-zero row is active on every
-    ray.
+    indices of the rows of A that vanish on the ray.  Bit k of every zero
+    set stands for row k of A, so active is read straight off the final
+    zero-set bitmask.
 
-    The rows are scaled to coprime integers, deduplicated, and inserted in
-    descending lexicographic order (see _insertion_order); the first d
+    The rows are scaled to coprime integers and inserted in descending
+    lexicographic order.  A repeated or all-zero row is inserted like any
+    other, not deduplicated: no ray is negative on it, so it only adds its
+    bit to the zero sets of the rays it vanishes on.  The first d
     independent rows form the initial basis, whose rays are the columns of
     its inverse (see _inverse_columns).  Inside the loop rays are plain int
     tuples named by stable ids: ids only grow, a removed ray leaves the
@@ -353,11 +343,15 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     if d > MAX_COLS:
         raise DimensionOverflow("cone dimension %d exceeds %d" % (d, MAX_COLS))
 
-    scaled = _integer_rows(given)
-    rows = _insertion_order(scaled)
+    rows = _integer_rows(given)
     m = len(rows)
+    # Lex-max, stable for equal rows.  On the 0/1 facet systems it keeps
+    # the intermediate frontier small: at rank 6 it peaks at 1,070 rays,
+    # against 1,791 for ascending nonzero count.
+    order = sorted(range(m), key=rows.__getitem__, reverse=True)
 
-    basis_idx = _independent_rows(rows, d)
+    picked = _independent_rows([rows[k] for k in order], d)
+    basis_idx = [order[p] for p in picked]
     if len(basis_idx) < d:
         raise NotPointed("inequality rows have rank %d < %d" % (len(basis_idx), d))
 
@@ -374,7 +368,7 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
         zero_on[k] = live_bits ^ 1 << t
 
     in_basis = set(basis_idx)
-    remaining = [k for k in range(m) if k not in in_basis]
+    remaining = [k for k in order if k not in in_basis]
     need = d - 2
 
     for k in remaining:
@@ -427,22 +421,9 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
                 live_bits ^= 1 << t
             live = keep
 
-    # sources[k]: the indices of the given rows that scale to row k.
-    index = {row: k for k, row in enumerate(rows)}
-    sources: list[list[int]] = [[] for _ in rows]
-    always: list[int] = []
-    for p, row in enumerate(scaled):
-        if row is None:
-            always.append(p)
-        else:
-            sources[index[row]].append(p)
     out = []
     for t in sorted(live, key=rays.__getitem__):
-        active = always[:]
-        for r, c in enumerate(bin(masks[t])[:1:-1]):
-            if c == "1":
-                active += sources[r]
-        active.sort()
+        active = [r for r, c in enumerate(bin(masks[t])[:1:-1]) if c == "1"]
         out.append((Ray(rays[t]), tuple(active)))
     return out
 

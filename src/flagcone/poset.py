@@ -16,7 +16,6 @@ class F_S exactly when S blocks I_C.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -458,35 +457,6 @@ def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
             if ok:
                 out[mask].append(chain)
     return {m: tuple(cs) for m, cs in out.items()}
-
-
-# -- random posets ---------------------------------------------------------
-
-
-def random_graded_poset(rank: int, seed: int = 0) -> GradedPoset:
-    """Seeded random graded poset: middle widths in [1, 4], every element
-    covered both ways, extra covers added with probability one half."""
-    if rank < 1:
-        raise ValueError(f"rank {rank} < 1")
-    rng = random.Random(seed)
-    widths = [1] + [rng.randint(1, 4) for _ in range(rank - 1)] + [1]
-    levels = [
-        tuple(f"e{r}_{i}" for i in range(w)) for r, w in enumerate(widths)
-    ]
-    elements = [(x, r) for r, lvl in enumerate(levels) for x in lvl]
-    covers: set[tuple[str, str]] = set()
-    for r in range(rank):
-        lower, upper = levels[r], levels[r + 1]
-        for y in upper:
-            covers.add((rng.choice(lower), y))
-        for x in lower:
-            if not any((x, y) in covers for y in upper):
-                covers.add((x, rng.choice(upper)))
-        for x in lower:
-            for y in upper:
-                if (x, y) not in covers and rng.random() < 0.5:
-                    covers.add((x, y))
-    return validate(elements, sorted(covers))
 
 
 # -- text format -----------------------------------------------------------

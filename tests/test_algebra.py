@@ -14,12 +14,10 @@ from flagcone.algebra import (
     DegreeMismatch,
     Form,
     ZeroForm,
-    compress,
     convolve,
     eval_poset,
     eval_system,
     factor_once,
-    h_form,
     largest_letter,
     leading_ones_factor,
     limit_check,
@@ -37,11 +35,12 @@ from flagcone.intervals import IntervalSystem
 from flagcone.poset import (
     dual,
     flag_vector,
-    random_graded_poset,
     validate,
     witness_poset,
     WitnessSpec,
 )
+
+from oracles import compress, h_form, random_graded_poset
 
 f = Form.monomial
 

@@ -19,7 +19,9 @@ from flagcone.algebra import Form
 from flagcone.cli import _h_text, main
 from flagcone.cone import facet_system
 from flagcone.intervals import IntervalSystem
-from flagcone.poset import WitnessSpec, parse_poset, random_graded_poset, format_poset
+from flagcone.poset import WitnessSpec, parse_poset, format_poset
+
+from oracles import random_graded_poset
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str]:

@@ -10,7 +10,7 @@ import pytest
 
 from flagcone import cone, polyhedra, ranksets
 from flagcone.algebra import (
-    Form, compress, convolve, eval_poset, h_form, reflect, shift,
+    Form, convolve, eval_poset, reflect, shift,
 )
 from flagcone.cone import (
     DegreeTooLarge,
@@ -27,9 +27,14 @@ from flagcone.cone import (
     is_extreme,
     ray_to_form,
 )
-from flagcone.intervals import IntervalSystem, blockers, catalan, is_blocker
+from flagcone.intervals import (
+    AmbientTooLarge, IntervalOutOfRange, IntervalSystem, blockers, catalan,
+    is_blocker,
+)
 from flagcone.polyhedra import dd_rays, matrix_rank
 from flagcone.poset import flag_number, flag_vector, witness_poset
+
+from oracles import compress, h_form, random_graded_poset
 
 
 def M(*elems: int) -> int:
@@ -378,8 +383,6 @@ class TestExtremeRays:
                 assert matrix_rank(rows) == (1 << n) - 1
 
     def test_forms_valid_on_random_posets(self):
-        from flagcone.poset import random_graded_poset
-
         for seed in range(8):
             for rank in (2, 3, 4):
                 P = random_graded_poset(rank, seed=seed)
@@ -503,6 +506,19 @@ class TestGenerateExtremes:
         finally:
             extreme_rays.cache_clear()
 
+    def test_ambient_out_of_range(self, monkeypatch):
+        # A bad ambient raises a ValueError subclass, as every other entry
+        # point does; above the cap it fails before any lower rank runs.
+        with pytest.raises(IntervalOutOfRange):
+            generate_extremes(-1)
+
+        def no_enumeration(k):
+            raise AssertionError("extreme_rays(%d) ran" % k)
+
+        monkeypatch.setattr(cone, "extreme_rays", no_enumeration)
+        with pytest.raises(AmbientTooLarge, match="ambient 7 "):
+            generate_extremes(7)
+
 
 class TestFlagCone:
     def test_rank2_description(self):
@@ -599,8 +615,7 @@ class TestPinnedOutputs:
         # facet_system(6)'s 64 basis rows and its first 175 other rows in
         # lex-max order; dd_rays inserts exactly these rows first.  Each
         # ray is pinned with its active rows.
-        rows = polyhedra._insertion_order(
-            polyhedra._integer_rows(facet_system(6).normal_matrix))
+        rows = sorted(facet_system(6).normal_matrix, reverse=True)
         basis = polyhedra._independent_rows(rows, len(rows[0]))
         chosen = set(basis)
         others = [k for k in range(len(rows)) if k not in chosen]

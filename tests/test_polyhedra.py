@@ -235,32 +235,34 @@ class TestDDRays:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_accepted_pairs_have_codimension_two(self, n, monkeypatch):
         # Adjacency is decided by the combinatorial test alone.  Confirm it
-        # algebraically at ranks 2 to 5: the rows on which both rays of an
-        # accepted pair vanish have rank exactly d - 2.  Mask bits index the
-        # rows in the order dd_rays inserts them.  The transposed incidence
-        # that dd_rays keeps incrementally must agree, on the live rays,
-        # with one rebuilt here from the masks.
-        rows = facet_matrix(n)
-        d = len(rows[0])
-        order = polyhedra._insertion_order(polyhedra._integer_rows(rows))
-        common_sets = []
+        # algebraically at ranks 2 to 5, on the facet rows and on them with
+        # repeated, scaled and zero rows: the rows on which both rays of an
+        # accepted pair vanish have rank exactly d - 2.  Mask bit k is row k
+        # of the input, so the transposed incidence has one entry per input
+        # row; on the live rays it must agree with one rebuilt here from the
+        # masks.
+        repeated = with_repeats(random.Random(n), facet_matrix(n))
+        for rows in (facet_matrix(n), repeated):
+            d = len(rows[0])
+            common_sets = []
 
-        def spy(masks, zero_on, live, pos, neg, need):
-            ids = [t for t in range(len(masks)) if live >> t & 1]
-            assert set(pos) | set(neg) <= set(ids)
-            for k, on_k in enumerate(zero_on):
-                expected = sum(1 << t for t in ids if masks[t] >> k & 1)
-                assert on_k & live == expected
-            pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
-            common_sets.extend(masks[i] & masks[j] for i, j in pairs)
-            return pairs
+            def spy(masks, zero_on, live, pos, neg, need):
+                assert len(zero_on) == len(rows)
+                ids = [t for t in range(len(masks)) if live >> t & 1]
+                assert set(pos) | set(neg) <= set(ids)
+                for k, on_k in enumerate(zero_on):
+                    expected = sum(1 << t for t in ids if masks[t] >> k & 1)
+                    assert on_k & live == expected
+                pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
+                common_sets.extend(masks[i] & masks[j] for i, j in pairs)
+                return pairs
 
-        monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
-        dd_rays(rows)
-        assert common_sets or n == 1  # rank 2 has a single ray
-        for common in common_sets:
-            active = [row for k, row in enumerate(order) if common >> k & 1]
-            assert (matrix_rank(active) if active else 0) == d - 2
+            monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+            dd_rays(rows)
+            assert common_sets or n == 1  # rank 2 has a single ray
+            for common in common_sets:
+                active = [row for k, row in enumerate(rows) if common >> k & 1]
+                assert (matrix_rank(active) if active else 0) == d - 2
 
     def test_integer_input_builds_no_fraction(self, monkeypatch):
         # Integer rows stay integers on every path: rank and enumeration.
@@ -329,7 +331,7 @@ def with_repeats(rng: random.Random, rows: list[tuple]) -> list[tuple]:
 
 class TestIncidence:
     # dd_rays pairs each ray with the indices of the given rows vanishing on
-    # it, read off its zero-set bitmask over the deduplicated rows.
+    # it, read off its zero-set bitmask, whose bit k is given row k.
 
     def test_scaled_duplicates_and_zero_row(self):
         rows = [(1, 0), (2, 0), (0, 1), (0, 0), (Fraction(1, 2), Fraction(1, 2))]

@@ -23,11 +23,12 @@ from flagcone.poset import (
     next_selected_rank,
     parse_poset,
     partition_classes,
-    random_graded_poset,
     reflect_mask,
     validate,
     witness_poset,
 )
+
+from oracles import random_graded_poset
 
 DIAMOND = (
     [("0", 0), ("a", 1), ("b", 1), ("1", 2)],
