@@ -79,9 +79,11 @@ class Form:
                 f"vector length {len(vec)} != 2**{degree - 1}"
             )
         # The masks of a full-length vector are distinct, ascending and in
-        # range, so nothing of __init__ but the Fraction conversion applies.
+        # range, so nothing of __init__ but the Fraction conversion applies;
+        # small integral coordinates share the Fractions of _SMALL_INTEGERS.
+        small = _SMALL_INTEGERS.get
         return cls._trusted(
-            degree, {m: Fraction(c) for m, c in enumerate(vec) if c}
+            degree, {m: small(c) or Fraction(c) for m, c in enumerate(vec) if c}
         )
 
     @classmethod

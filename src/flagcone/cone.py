@@ -255,15 +255,22 @@ def is_extreme(F: Form) -> bool:
     n = _check_degree(F)
     if F.is_zero:
         return False
-    fs = facet_system(n)
-    ray = form_to_ray(F).coords
+    return _is_extreme_ray(facet_system(n), form_to_ray(F).coords)
+
+
+def _is_extreme_ray(fs: FacetSystem, ray: tuple[int, ...]) -> bool:
+    """The facet sweep and rank test of is_extreme on a form's canonical ray.
+
+    generate_extremes already holds each candidate's ray as its dedup key,
+    so it calls this directly instead of canonicalizing again.
+    """
     active = []
     for (sys_, normal), value in zip(fs.facets, fs.values(ray)):
         if value < 0:
             raise NotInCone(f"form violates the facet at {sys_}")
         if value == 0:
             active.append(normal.coords)
-    target = (1 << n) - 1
+    target = (1 << fs.n) - 1
     return len(_independent_rows(active, target)) == target
 
 
@@ -339,9 +346,9 @@ def extreme_rays(n: int) -> ExtremeReport:
     Each ray keeps its integer coordinates and the active facets dd_rays
     read off its zero set, is converted to a form, and is classified
     against the lower-rank reports.  Ambients up to 4 take well under a
-    second; n = 5 (rank 6) takes about 0.30 s on one 2.1 GHz x86-64 core
-    (perfbench enumerate-r6, median of ten runs).  Reports are cached per
-    ambient.
+    second; n = 5 (rank 6) takes about 0.26 s on one 2.1 GHz x86-64 core
+    (perfbench enumerate-r6 solve_s, median of twelve runs, BENCH_15.json).
+    Reports are cached per ambient.
     """
     if n > MAX_DD_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
@@ -374,8 +381,8 @@ def generate_extremes(n: int) -> list[Form]:
     pair of lower-rank forms whose degrees sum to n + 1 unless
     _excluded_product rules the pair out.  Candidates are deduplicated by
     canonical ray (the first form reaching a ray is kept), those failing
-    the extremeness rank test are dropped, and the rest are reported in
-    canonical ray order.
+    the extremeness rank test of is_extreme, run on that ray, are dropped,
+    and the rest are reported in canonical ray order.
 
     The result is the derived subset of the top rank: what lifting and
     convolution alone reach.  It reads no provenance tags, so it does not
@@ -383,7 +390,7 @@ def generate_extremes(n: int) -> list[Form]:
     extreme_rays(n).  An ambient outside [0, MAX_MEMBERSHIP_AMBIENT] fails
     in facet_system before any lower rank is enumerated.
     """
-    facet_system(n)
+    fs = facet_system(n)
     if n == 0:
         return [Form(1, {0: 1})]
     full = [extreme_rays(k).forms for k in range(n)]
@@ -398,9 +405,7 @@ def generate_extremes(n: int) -> list[Form]:
                 if not _excluded_product(F, G):
                     H = convolve(F, G)
                     candidates.setdefault(form_to_ray(H).coords, H)
-    return [
-        candidates[c] for c in sorted(candidates) if is_extreme(candidates[c])
-    ]
+    return [candidates[c] for c in sorted(candidates) if _is_extreme_ray(fs, c)]
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,22 @@ class TestForm:
         assert all(type(c) is Fraction for _, c in F.terms())
         assert F.vector() == tuple(Fraction(c) for c in vec)
 
+    def test_from_vector_keeps_exact_values(self):
+        # Small integral coordinates share one Fraction each; a
+        # non-integral Fraction and integers outside +-16 keep their exact
+        # values, and zeros, int or Fraction, are still dropped.
+        vec = [0, 1, -16, 17, Fraction(5, 3), Fraction(-4, 2), -1000, Fraction(0)]
+        F = Form.from_vector(4, vec)
+        G = Form(4, dict(enumerate(vec)))
+        assert F == G
+        assert hash(F) == hash(G)
+        assert repr(F) == repr(G)
+        assert str(F) == str(G)
+        assert dict(F.terms()) == {
+            1: 1, 2: -16, 3: 17, 4: Fraction(5, 3), 5: -2, 6: -1000}
+        assert all(type(c) is Fraction for _, c in F.terms())
+        assert F[1] is Form.from_vector(2, [0, 1])[1]
+
     def test_from_vector_zero_and_length(self):
         assert Form.from_vector(3, [0, 0, 0, 0]).is_zero
         assert Form.from_vector(3, (Fraction(0),) * 4) == Form(3)

@@ -266,20 +266,24 @@ class TestIsExtremeExact:
 
     def test_agrees_with_reference_on_generated_candidates(self, monkeypatch):
         # Every lift and non-excluded product generate_extremes builds for
-        # 1 <= n <= 4, before it drops the ones that are not extreme.
+        # 1 <= n <= 4, before it drops the ones that are not extreme.  It
+        # runs the test of is_extreme on each candidate's canonical ray.
         candidates = []
+        decide = cone._is_extreme_ray
 
-        def spy(F):
-            candidates.append(F)
-            return is_extreme(F)
+        def spy(fs, ray):
+            verdict = decide(fs, ray)
+            candidates.append((ray_to_form(polyhedra.Ray(ray)), verdict))
+            return verdict
 
-        monkeypatch.setattr(cone, "is_extreme", spy)
+        monkeypatch.setattr(cone, "_is_extreme_ray", spy)
         for n in range(1, 5):
             generate_extremes(n)
-        assert sorted({F.degree for F in candidates}) == [2, 3, 4, 5]
+        monkeypatch.undo()
+        assert sorted({F.degree for F, _ in candidates}) == [2, 3, 4, 5]
         assert len(candidates) == 52
-        for F in candidates:
-            assert is_extreme(F) == reference_is_extreme(F)
+        for F, verdict in candidates:
+            assert verdict == is_extreme(F) == reference_is_extreme(F)
 
     def test_agrees_with_reference_on_random_forms(self):
         # Scaled by a random Fraction; outside forms compare their NotInCone
@@ -506,6 +510,28 @@ class TestGenerateExtremes:
         finally:
             extreme_rays.cache_clear()
 
+    def test_canonicalizes_each_candidate_once(self, monkeypatch):
+        # Each lift and each non-excluded product is canonicalized once, for
+        # its dedup key; the extremeness test reuses that key.  The forms
+        # are pinned by the SHA-256 of their reprs.
+        for k in range(4):
+            extreme_rays(k)
+        built = []
+        canonical = []
+        for name in ("shift", "convolve", "canonicalize"):
+            real = getattr(cone, name)
+            log = canonical if name == "canonicalize" else built
+
+            def spy(*args, real=real, log=log):
+                log.append(None)
+                return real(*args)
+
+            monkeypatch.setattr(cone, name, spy)
+        forms = generate_extremes(4)
+        assert len(built) == len(canonical) > len(forms) == 34
+        assert hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest() == (
+            "d1277161e866f1552ede1305741e9cf3c0b6a7a0c604e4eb9d1915b1b761582b")
+
     def test_ambient_out_of_range(self, monkeypatch):
         # A bad ambient raises a ValueError subclass, as every other entry
         # point does; above the cap it fails before any lower rank runs.
@@ -610,16 +636,27 @@ class TestPinnedOutputs:
     def test_flag_cone_facets_digest(self, n):
         assert rows_digest(flag_cone(n).facets) == PINNED_DIGESTS[n]
 
-    def test_rank7_frontier_digest(self):
+    @staticmethod
+    def rank7_frontier(count: int) -> list:
         # The intermediate cone the rank-7 run reaches after inserting
-        # facet_system(6)'s 64 basis rows and its first 175 other rows in
-        # lex-max order; dd_rays inserts exactly these rows first.  Each
-        # ray is pinned with its active rows.
+        # facet_system(6)'s 64 basis rows and its first `count` other rows in
+        # lex-max order; dd_rays inserts exactly these rows first.
         rows = sorted(facet_system(6).normal_matrix, reverse=True)
         basis = polyhedra._independent_rows(rows, len(rows[0]))
         chosen = set(basis)
         others = [k for k in range(len(rows)) if k not in chosen]
-        rays = dd_rays([rows[k] for k in basis + others[:175]])
+        return dd_rays([rows[k] for k in basis + others[:count]])
+
+    def test_rank7_frontier_digest(self):
+        # Each ray is pinned with its active rows.
+        rays = self.rank7_frontier(175)
         assert len(rays) == 931
         assert rows_digest(r.coords + active for r, active in rays) == (
             "be62c9ee534ed4bb79dc3ef6aaa331a0b31e3aa53d40c93d6a27efdc4cd4153b")
+
+    @pytest.mark.slow
+    def test_rank7_frontier_digest_200(self):
+        rays = self.rank7_frontier(200)
+        assert len(rays) == 6331
+        assert rows_digest(r.coords + active for r, active in rays) == (
+            "7a01e2f8aa75608ae1392f728c8dedae00f5150337e1c9c082245895696c9fa9")

@@ -244,21 +244,10 @@ class TestDDRays:
         repeated = with_repeats(random.Random(n), facet_matrix(n))
         for rows in (facet_matrix(n), repeated):
             d = len(rows[0])
-            common_sets = []
-
-            def spy(masks, zero_on, live, pos, neg, need):
-                assert len(zero_on) == len(rows)
-                ids = [t for t in range(len(masks)) if live >> t & 1]
-                assert set(pos) | set(neg) <= set(ids)
-                for k, on_k in enumerate(zero_on):
-                    expected = sum(1 << t for t in ids if masks[t] >> k & 1)
-                    assert on_k & live == expected
-                pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
-                common_sets.extend(masks[i] & masks[j] for i, j in pairs)
-                return pairs
-
-            monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+            calls = spy_incidence(monkeypatch, len(rows))
             dd_rays(rows)
+            common_sets = [masks[i] & masks[j]
+                           for masks, _, _, _, pairs in calls for i, j in pairs]
             assert common_sets or n == 1  # rank 2 has a single ray
             for common in common_sets:
                 active = [row for k, row in enumerate(rows) if common >> k & 1]
@@ -302,6 +291,32 @@ class TestDDRays:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "['flagcone']"
+
+
+def spy_incidence(monkeypatch, m: int) -> list[tuple]:
+    """Wrap adjacency_pairs in a check of dd_rays' transposed incidence.
+
+    At every call zero_on has one entry per input row, and on the live rays
+    each entry equals the one rebuilt here from masks.  Each call is
+    logged as (masks, zero_on, first new id, negative ids, pairs); masks and
+    zero_on are dd_rays' own lists, so once it returns they hold its final
+    state.
+    """
+    calls = []
+
+    def spy(masks, zero_on, live, pos, neg, need):
+        assert len(zero_on) == m
+        ids = [t for t in range(len(masks)) if live >> t & 1]
+        assert set(pos) | set(neg) <= set(ids)
+        for k, on_k in enumerate(zero_on):
+            expected = sum(1 << t for t in ids if masks[t] >> k & 1)
+            assert on_k & live == expected
+        pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
+        calls.append((masks, zero_on, len(masks), list(neg), pairs))
+        return pairs
+
+    monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+    return calls
 
 
 def zero_rows(rows, coords) -> tuple[int, ...]:
@@ -361,6 +376,49 @@ class TestIncidence:
         assert [r for r, _ in out] == [r for r, _ in dd_rays(facet_matrix(n))]
         for ray, active in out:
             assert active == zero_rows(rows, ray.coords)
+
+
+class TestIncidenceTranspose:
+    # The new rays of one row reach the transposed incidence in one column
+    # transpose of their fixed-width zero-set strings.  Removed rays keep
+    # their entries, so after the run every entry, over all ids ever made,
+    # must still equal the one rebuilt from masks.
+
+    @staticmethod
+    def run(monkeypatch, rows, expected: set[tuple[int, ...]]) -> list[tuple]:
+        calls = spy_incidence(monkeypatch, len(rows))
+        out = dd_rays(rows)
+        masks, zero_on = calls[-1][:2]
+        for k, on_k in enumerate(zero_on):
+            assert on_k == sum(1 << t for t, z in enumerate(masks) if z >> k & 1)
+        assert {r.coords for r, _ in out} == expected
+        for ray, active in out:
+            assert active == zero_rows(rows, ray.coords)
+        return calls
+
+    def test_row_with_one_new_ray(self, monkeypatch):
+        # Basis (1, 0), (1, -1); row (0, 1) cuts ray (0, -1) and makes (1, 0).
+        rows = [(1, 0), (1, -1), (0, 1)]
+        calls = self.run(monkeypatch, rows, brute_rays(rows))
+        assert [(t0, pairs) for _, _, t0, _, pairs in calls] == [(2, [(0, 1)])]
+
+    def test_negative_ray_without_adjacent_pair(self, monkeypatch):
+        # The cone over a square; the last row is negative on (1, 1, 1) and
+        # positive on the opposite ray (-1, -1, 1) only, which is not
+        # adjacent to it, so the row removes a ray and makes none.
+        rows = [(-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1), (-1, -1, 0)]
+        calls = self.run(monkeypatch, rows, brute_rays(rows))
+        masks, _, t0, neg, pairs = calls[-1]
+        assert neg and not pairs and len(masks) == t0
+
+    def test_new_ids_far_above_the_row_count(self, monkeypatch):
+        # At rank 5 the last rows make rays with ids over twice the row
+        # count, so the shift by the first new id moves past every row bit.
+        expected = {r.coords for r, _ in dd_rays(facet_matrix(4))}
+        rows = with_repeats(random.Random(5), facet_matrix(4))
+        calls = self.run(monkeypatch, rows, expected)
+        assert max(t0 for _, _, t0, _, pairs in calls if pairs) > 2 * len(rows)
+        assert max(len(pairs) for *_, pairs in calls) > 1
 
 
 def fraction_inverse(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
