@@ -387,9 +387,6 @@ def to_h_coeffs(F: Form) -> dict[int, Fraction]:
     }
 
 
-
-
-
 # -- evaluation ----------------------------------------------------------------
 
 

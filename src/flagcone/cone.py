@@ -91,8 +91,9 @@ def ray_to_form(ray: Ray) -> Form:
 class FacetSystem:
     """All facets of the degree-(n+1) cone, one per antichain of intervals.
 
-    Facets are ordered canonically: each antichain's intervals sorted by
-    (lo, hi), antichains sorted lexicographically by that interval list.
+    Facets come in the order enumerate_antichains generates them, which is
+    canonical: each antichain's intervals sorted by (lo, hi), antichains
+    ascending lexicographically by that list (IntervalSystem.sort_key).
     The normal of the antichain I is the 0/1 indicator of its blocker
     family over the rank sets in ascending mask order, so a facet's value
     on a coefficient vector is the sum over its support (see values).
@@ -127,9 +128,8 @@ def facet_system(n: int) -> FacetSystem:
     """Facets of the cone of degree-(n+1) forms nonnegative on all posets."""
     if n > MAX_MEMBERSHIP_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_MEMBERSHIP_AMBIENT}")
-    systems = sorted(enumerate_antichains(n), key=lambda s: s.sort_key())
     facets = []
-    for sys_ in systems:
+    for sys_ in enumerate_antichains(n):
         fam = blockers(sys_)
         normal = Ray(tuple(1 if mask in fam else 0 for mask in ranksets.subsets(n)))
         facets.append((sys_, normal))
@@ -156,16 +156,6 @@ class MembershipResult:
 
     def __bool__(self) -> bool:
         return self.inside
-
-
-def _witness_evaluation(F: Form, system: IntervalSystem, N: int) -> Fraction:
-    """Closed-form evaluation of F on the witness poset P(n, I, N)."""
-    ivs = system.sorted_intervals
-    total = Fraction(0)
-    for s, c in F.terms():
-        hits = sum(1 for iv in ivs if s & iv.mask)
-        total += c * N**hits
-    return total
 
 
 def _check_degree(F: Form) -> int:
@@ -195,9 +185,10 @@ def contains(F: Form) -> MembershipResult:
             if n >= 1:
                 N = 1
                 while N <= WITNESS_N_CAP:
-                    wv = _witness_evaluation(F, sys_, N)
+                    spec = WitnessSpec(n, sys_, N)
+                    wv = sum(c * spec.predicted_flag_number(s) for s, c in F.terms())
                     if wv < 0:
-                        witness = WitnessSpec(n, sys_, N)
+                        witness = spec
                         witness_value = wv
                         break
                     N *= 2

@@ -151,13 +151,12 @@ def catalan(m: int) -> int:
 def enumerate_antichains(n: int) -> list[IntervalSystem]:
     """All antichains of intervals inside [1, n], C(n+1) of them.
 
-    An antichain corresponds to a staircase shape: mark interval [c, n+1-r]
-    as box (row r, column c); a downward-closed ideal of intervals is a
-    left-justified shape with row lengths lam_1 >= lam_2 >= ..., lam_r <=
-    n+1-r, and the antichain of its maximal intervals is the set of outer
-    corner boxes.  Shapes are generated in lexicographically ascending row
-    order, so the output order is deterministic and starts with the empty
-    system.
+    Intervals form an antichain under containment exactly when, sorted by
+    left endpoint, their right endpoints strictly increase too.  So the
+    intervals are chosen depth first, each with both endpoints above the
+    previous one's; every system comes out before its extensions, the
+    output is in IntervalSystem.sort_key order, and it starts with the
+    empty system.
     """
     if n < 0:
         raise IntervalOutOfRange(f"ambient {n} < 0")
@@ -165,18 +164,12 @@ def enumerate_antichains(n: int) -> list[IntervalSystem]:
         raise AmbientTooLarge(f"ambient {n} > 14 for antichain enumeration")
     out: list[IntervalSystem] = []
 
-    def rec(row: int, prev_len: int, lens: list[int]) -> None:
-        if row > n:
-            corners = []
-            padded = lens + [0]
-            for r, lam in enumerate(lens, start=1):
-                if lam > padded[r]:
-                    corners.append(Interval(lam, n + 1 - r))
-            out.append(IntervalSystem.of(n, corners))
-            return
-        for lam in range(0, min(prev_len, n + 1 - row) + 1):
-            rec(row + 1, lam, lens + [lam])
+    def rec(lo_min: int, hi_min: int, chosen: list[Interval]) -> None:
+        out.append(IntervalSystem.of(n, chosen))
+        for lo in range(lo_min, n + 1):
+            for hi in range(max(lo, hi_min), n + 1):
+                rec(lo + 1, hi + 1, chosen + [Interval(lo, hi)])
 
-    rec(1, n, [])
+    rec(1, 1, [])
     assert len(out) == catalan(n + 1)
     return out

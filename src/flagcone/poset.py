@@ -42,7 +42,7 @@ class GradedPoset:
     read "first" in that order.
     """
 
-    __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down", "_reach_cache", "_above")
+    __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down", "_reach_cache")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class GradedPoset:
         self._up = dict(up)
         self._down = dict(down)
         self._reach_cache: dict[tuple[int, int], list[int]] = {}
-        self._above: dict[str, frozenset[str]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -112,30 +111,20 @@ class GradedPoset:
 
     # -- order -------------------------------------------------------------
 
-    def _above_sets(self) -> dict[str, frozenset[str]]:
-        if self._above is None:
-            above: dict[str, frozenset[str]] = {}
-            for lvl in reversed(self._levels):
-                for x in lvl:
-                    acc: set[str] = set()
-                    for y in self._up.get(x, ()):
-                        acc.add(y)
-                        acc.update(above[y])
-                    above[x] = frozenset(acc)
-            self._above = above
-        return self._above
-
     def le(self, x: str, y: str) -> bool:
         """x <= y in the order generated by the covers."""
-        return x == y or y in self._above_sets()[x]
+        return x == y or self.lt(x, y)
 
     def lt(self, x: str, y: str) -> bool:
-        return x != y and y in self._above_sets()[x]
+        r, s = self._rank_of[x], self._rank_of[y]
+        return r < s and bool(self.reach(r, s)[self._pos[x]] >> self._pos[y] & 1)
 
     def reach(self, r: int, s: int) -> list[int]:
         """For each element of level r, the bitmask of level-s elements above it.
 
-        Memoized per rank pair; this powers the flag-number dynamic program.
+        Bit i stands for the level-s element at position i.  Memoized per
+        rank pair; these masks are the order relation (lt, le) and power
+        the flag-number dynamic program.
         """
         if not (0 <= r < s <= self.rank):
             raise ValueError(f"bad rank pair ({r}, {s})")

@@ -1,13 +1,15 @@
 """Test oracles: constructions the library itself does not need.
 
-random_graded_poset draws seeded posets for identity checks, h_form builds
-the h-basis forms the algebra tests are phrased in, and compress is the
+random_graded_poset draws seeded posets for identity checks, order_closure
+is the poset order computed apart from GradedPoset.reach, h_form builds the
+h-basis forms the algebra tests are phrased in, and compress is the
 independent oracle for classify's lift rule.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from flagcone import ranksets
 from flagcone.algebra import Form, ZeroForm
@@ -38,6 +40,23 @@ def random_graded_poset(rank: int, seed: int = 0) -> GradedPoset:
                 if (x, y) not in covers and rng.random() < 0.5:
                     covers.add((x, y))
     return validate(elements, sorted(covers))
+
+
+def order_closure(P: GradedPoset) -> set[tuple[str, str]]:
+    """The strict order of P, as the pairs (x, y) with x < y, found by a
+    breadth-first search up the covers from each element."""
+    less: set[tuple[str, str]] = set()
+    for x in P.elements:
+        queue = deque(P.up_covers(x))
+        seen = set(queue)
+        while queue:
+            y = queue.popleft()
+            less.add((x, y))
+            for z in P.up_covers(y):
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+    return less
 
 
 def h_form(degree: int, i: int = 0) -> Form:

@@ -60,6 +60,27 @@ class TestFacets:
         for rec, (_, normal) in zip(rows, fs.facets):
             assert tuple(int(x) for x in rec[1:]) == normal.coords
 
+    # SHA-256 of the whole stdout of `facets --rank R --format F`, so that
+    # neither the facet order nor the rendering can change what facets prints.
+    @pytest.mark.parametrize("rank, fmt, digest", [
+        (1, "table", "629d11de614192c7ded02d3e122493519b94ab02cc9022823923c604d8937aca"),
+        (1, "csv", "334a0c29205d1fb58d2848046b3155deaf773e1a7e7ab8b42ba71bdd8d785dc5"),
+        (2, "table", "51484a77cdab30a2f13096d5a76c0ea6a0d41270ca0f137679d2dac247198cf5"),
+        (2, "csv", "0f464d1a3a12adaa252b741b884578111867539bfe2ff24a1d71376a3fe1e23e"),
+        (3, "table", "7c0b1e4d63e76b7365e2b383e2712e64b23c415a52565f3e4f1452a1d19b9ec3"),
+        (3, "csv", "c7ac01074af05f17f943909eac1cfd95ef450ad5d1e59dbf665ded1e795355a8"),
+        (4, "table", "18222b550cb1bc2ca55ff96fc7965bd674c4c294032f899c50e6fc6571dbd162"),
+        (4, "csv", "a07c5d52d5727696be111762acc3d41e57985f3cb4a0d5631ac937c7ecb38dbc"),
+        (5, "table", "69bc93e2156529755c96900d99bca46ca73f93d315753f7d9f8920d3821f481a"),
+        (5, "csv", "a3c429815c26580427debeefdc76dba1430ab89ac7f3c65beaae6297c0666097"),
+        (6, "table", "9ebb277a66a9bfe17446244b5ba125d7df4f1aaca9e7f3febbd007f08846512b"),
+        (6, "csv", "29f2bc412883ec666fb6e826cfad11adf649e099fc6938945564c1214f5e63e1"),
+    ])
+    def test_stdout_digest(self, capsys, rank, fmt, digest):
+        code, out = run(capsys, ["facets", "--rank", str(rank), "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_rank_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["facets", "--rank", "7"])

@@ -123,11 +123,25 @@ class TestContains:
         assert res.value == -1
 
     def test_witness_recipe_is_real(self):
-        res = contains(Form(2, {0: 1, M(1): -1}))
-        spec = res.witness
-        assert spec is not None
-        P = witness_poset(spec)
-        assert eval_poset(P, Form(2, {0: 1, M(1): -1})) == res.witness_value < 0
+        # f_empty - f_1, then seeded forms of degrees 3 to 5 whose violated
+        # antichain has two or more intervals; eval_poset counts chains on
+        # the built poset, apart from the N ** hits the search sums.
+        F = Form(2, {0: 1, M(1): -1})
+        cases = [(F, contains(F))]
+        for degree in (3, 4, 5):
+            rng = random.Random(degree)
+            found = 0
+            while found < 3:
+                F = random_form(degree, rng, -1, 3)
+                res = contains(F)
+                if not res.inside and len(res.violated) >= 2:
+                    cases.append((F, res))
+                    found += 1
+        for F, res in cases:
+            assert res.witness is not None
+            P = witness_poset(res.witness)
+            assert eval_poset(P, F) == res.witness_value < 0
+        assert max(res.witness.N for _, res in cases) >= 2
 
     def test_zero_form_inside(self):
         assert contains(Form(3))
@@ -616,6 +630,18 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 of the rows (antichain, normal) of facet_system(n).facets.
+FACET_DIGESTS = {
+    0: "93283ba1cf3160092440923a49508936df910b63beb75e878bbe520678497769",
+    1: "e36ecdf6c5e41698f684267a42d898114d6c236c1c0a9c26294a44dc0440e35e",
+    2: "50edd020615f75b51428c188e813a8e494b95c9a53e24a90cd206399fb4cf3f7",
+    3: "2c0e8aefdf3144de600ea57d00748266ac818d3f4d91c7b87a825abcd9adff88",
+    4: "c3e856440a47368ea2cfc275fbc0e306674c727d35d5a16d4e3a619801f3e5ca",
+    5: "6ddd66efcb8043c7b14ec01d6ecbaa34825714099679b357eed5b4e6d243bff5",
+    6: "d2b7e87cc6bb431212b13a414c43c4cc769354755a8d1ca4ee70e5357f486a30",
+}
+
+
 def rows_digest(rows) -> str:
     text = "\n".join(",".join(str(x) for x in row) for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -635,6 +661,13 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_flag_cone_facets_digest(self, n):
         assert rows_digest(flag_cone(n).facets) == PINNED_DIGESTS[n]
+
+    # contains reports the first violated antichain in facet order, so the
+    # order is pinned along with the normals, up to rank 7.
+    @pytest.mark.parametrize("n", range(7))
+    def test_facet_system_digest(self, n):
+        rows = ((str(sys_),) + normal.coords for sys_, normal in facet_system(n).facets)
+        assert rows_digest(rows) == FACET_DIGESTS[n]
 
     @staticmethod
     def rank7_frontier(count: int) -> list:

@@ -208,6 +208,11 @@ class TestEnumerateAntichains:
         assert len(set(enumerated)) == len(enumerated)
         assert set(enumerated) == oracle
 
+    def test_generated_in_sort_key_order(self):
+        for n in range(8):
+            keys = [sys_.sort_key() for sys_ in enumerate_antichains(n)]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_empty_comes_first(self):
         for n in range(4):
             assert enumerate_antichains(n)[0] == IntervalSystem.empty(n)

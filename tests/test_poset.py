@@ -8,6 +8,7 @@ import random
 import pytest
 
 from flagcone import ranksets
+from flagcone.cone import facet_system
 from flagcone.intervals import Interval, IntervalSystem, blockers, is_blocker
 from flagcone.poset import (
     GradedPoset,
@@ -28,7 +29,7 @@ from flagcone.poset import (
     witness_poset,
 )
 
-from oracles import random_graded_poset
+from oracles import order_closure, random_graded_poset
 
 DIAMOND = (
     [("0", 0), ("a", 1), ("b", 1), ("1", 2)],
@@ -48,14 +49,15 @@ def fig_poset() -> GradedPoset:
     return witness_poset(WitnessSpec(3, sys_, 2))
 
 
-def brute_flag_number(P: GradedPoset, mask: int) -> int:
-    """Oracle: enumerate tuples over the selected levels, test comparability."""
+def brute_flag_number(P: GradedPoset, mask: int, less: set[tuple[str, str]]) -> int:
+    """Oracle: enumerate tuples over the selected levels, test comparability
+    in less, the strict order from order_closure(P)."""
     ranks = ranksets.elems_of(mask)
     if not ranks:
         return 1
     total = 0
     for combo in itertools.product(*(P.level(r) for r in ranks)):
-        if all(P.le(a, b) for a, b in zip(combo, combo[1:])):
+        if all((a, b) in less for a, b in zip(combo, combo[1:])):
             total += 1
     return total
 
@@ -129,6 +131,28 @@ class TestValidate:
         assert flag_vector(P) == {0: 1}
 
 
+def order_posets():
+    for rank in range(1, 6):
+        for seed in range(20):
+            yield f"random rank {rank} seed {seed}", random_graded_poset(rank, seed=seed)
+    for sys_, _ in facet_system(3).facets:
+        for N in (1, 2):
+            yield f"witness {sys_} N={N}", witness_poset(WitnessSpec(3, sys_, N))
+
+
+class TestOrder:
+    def test_matches_order_closure(self):
+        # All pairs: x == y, equal ranks, and the bottom and top against
+        # every element are among them.
+        for name, P in order_posets():
+            less = order_closure(P)
+            assert (P.bottom, P.top) in less, name
+            for x in P.elements:
+                for y in P.elements:
+                    assert P.lt(x, y) == ((x, y) in less), (name, x, y)
+                    assert P.le(x, y) == (x == y or (x, y) in less), (name, x, y)
+
+
 class TestFlagNumbers:
     def test_diamond(self, diamond):
         assert flag_number(diamond, 0) == 1
@@ -152,8 +176,9 @@ class TestFlagNumbers:
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
         P = random_graded_poset(rng.randint(2, 5), seed=seed)
+        less = order_closure(P)
         for mask in range(1 << P.n):
-            assert flag_number(P, mask) == brute_flag_number(P, mask)
+            assert flag_number(P, mask) == brute_flag_number(P, mask, less)
 
     def test_chain_poset(self):
         P = random_graded_poset(1, seed=3)
