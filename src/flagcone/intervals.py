@@ -106,6 +106,13 @@ class IntervalSystem:
             return "empty"
         return "+".join(str(iv) for iv in self.sorted_intervals)
 
+    def __repr__(self) -> str:
+        """The dataclass repr with the intervals sorted, so equal systems
+        print the same whatever order they were built in."""
+        ivs = ", ".join(map(repr, self.sorted_intervals))
+        body = f"frozenset({{{ivs}}})" if ivs else "frozenset()"
+        return f"IntervalSystem(ambient_n={self.ambient_n!r}, intervals={body})"
+
 
 @dataclass(frozen=True)
 class BlockerFamily:

@@ -146,6 +146,25 @@ class TestContains:
     def test_zero_form_inside(self):
         assert contains(Form(3))
 
+    def test_repr_is_independent_of_insertion_order(self):
+        # In CPython these three intervals iterate in another frozenset
+        # order when inserted reversed, so the dataclass repr would tell
+        # the two equal systems apart.
+        ivs = [(1, 1), (2, 3), (4, 4)]
+        a = IntervalSystem.of(4, ivs)
+        b = IntervalSystem.of(4, ivs[::-1])
+        assert a == b
+        assert repr(a) == repr(b) == (
+            "IntervalSystem(ambient_n=4, intervals=frozenset({"
+            "Interval(lo=1, hi=1), Interval(lo=2, hi=3), Interval(lo=4, hi=4)}))"
+        )
+        res_a = cone.MembershipResult(False, a, Fraction(-1))
+        res_b = cone.MembershipResult(False, b, Fraction(-1))
+        assert str(res_a) == str(res_b)
+        assert repr(IntervalSystem.empty(2)) == (
+            "IntervalSystem(ambient_n=2, intervals=frozenset())"
+        )
+
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLarge):
             contains(Form(8, {0: 1}))
