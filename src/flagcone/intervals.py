@@ -82,10 +82,10 @@ class IntervalSystem:
         ivs = []
         for part in s.split("+"):
             p = part.strip()
-            if not (p.startswith("[") and p.endswith("]")):
+            ends = p[1:-1].split(",")
+            if not (p.startswith("[") and p.endswith("]")) or len(ends) != 2:
                 raise ValueError(f"bad interval literal {part!r}")
-            lo_s, hi_s = p[1:-1].split(",")
-            ivs.append(Interval(int(lo_s), int(hi_s)))
+            ivs.append(Interval(int(ends[0]), int(ends[1])))
         return cls.of(ambient_n, ivs)
 
     @property

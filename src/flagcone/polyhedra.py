@@ -10,13 +10,15 @@ cone.is_extreme, which stops once the active rows reach rank d - 1.
 
 The double description implementation starts from the rays of those d
 rows (the columns of their inverse, _inverse_columns) and inserts the
-other inequality rows one at a time, in descending lexicographic order,
-keeping the extreme rays of the intermediate cone as tuples of plain
-Python ints.  Repeated and all-zero rows are inserted too, not
-deduplicated.  Each ray keeps one id for the whole run.  Its zero set over
-the rows inserted so far is a bitmask, and the transposed incidence (for
-each inserted row, the bitset of ray ids zero on it) is kept alongside;
-both are updated incrementally, never rebuilt.  The new rays of one
+other inequality rows one at a time, in the order given, keeping the
+extreme rays of the intermediate cone as tuples of plain Python ints.  The
+order sets the size of the intermediate cones, not the output: in
+facet_system(5)'s own order the frontier never exceeds the 796 final
+rays.  Repeated and all-zero rows are inserted too, not deduplicated.
+Each ray keeps one id for the whole run.  Its zero set over the rows
+inserted so far is a bitmask, and the transposed incidence (for each
+inserted row, the bitset of ray ids zero on it) is kept alongside; both
+are updated incrementally, never rebuilt.  The new rays of one
 inserted row reach the transposed incidence in one column transpose of
 their zero sets, written as fixed-width bit strings.  Adjacency of a
 positive/negative ray pair is decided by the combinatorial test alone: the
@@ -30,8 +32,8 @@ AND scan over the transposed incidence, and every third ray that rules a
 pair out also drops, in one bitset step, each remaining positive ray whose
 common zero set with the same negative ray lies inside its own zero set
 (bitset subset pruning in the line of Terzer & Stelling's bit-pattern
-trees, Bioinformatics 2008).  On facet_system(5) the scan examines 13,262
-of the 287,198 positive/negative pairs, and 5,973 of them reach the AND
+trees, Bioinformatics 2008).  On facet_system(5) the scan examines 8,500
+of the 163,217 positive/negative pairs, and 4,504 of them reach the AND
 scan.  Bit k of a zero set stands for row k of the input, so the final
 zero sets are the rays' incidences: dd_rays returns each ray with the
 indices of the input rows that vanish on it.
@@ -252,8 +254,7 @@ def adjacency_pairs(
     rows picked by compress from the bytes of _bits(z).  It needs no early
     exit once only i and j remain: both are zero on every row of z, so
     they stay in the AND, and the AND only ever shrinks.  Once it is the
-    pair it stays the pair.  On facet_system(5) the early exit saved little:
-    the 5,973 chains ran 306,041 AND steps with it and 323,714 without.
+    pair it stays the pair.
 
     For each j the positive rays still to test form a bitset, taken lowest
     id first.  A pair is tried against i's witness list, every third ray
@@ -328,32 +329,28 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     set stands for row k of A, so active is read straight off the final
     zero-set bitmask.
 
-    The rows are scaled to coprime integers and inserted in descending
-    lexicographic order.  A repeated or all-zero row is inserted like any
-    other, not deduplicated: no ray is negative on it, so it only adds its
-    bit to the zero sets of the rays it vanishes on.  The first d
-    independent rows form the initial basis, whose rays are the columns of
-    its inverse (see _inverse_columns).  Inside the loop rays are plain int
-    tuples named by stable ids: ids only grow, a removed ray leaves the
-    live list and its coordinates are released, and the transposed
-    incidence gains each inserted row once.  The new rays of one row take
-    consecutive ids from t0, and each one's zero set is also written as an
-    m-character bit string.  Column c of those strings, last ray first, is
-    the bitset of new rays zero on row m - 1 - c, bit p standing for id
-    t0 + p, so each row of the transposed incidence gains its column in one
-    OR shifted by t0.  The columns are taken one at a time: at rank 7 one
+    The rows are scaled to coprime integers and inserted in the order
+    given.  A repeated or all-zero row is inserted like any other, not
+    deduplicated: no ray is negative on it, so it only adds its bit to the
+    zero sets of the rays it vanishes on.  The first d independent rows
+    form the initial basis, whose rays are the columns of its inverse (see
+    _inverse_columns).  Inside the loop rays are plain int tuples named by
+    stable ids: ids only grow, a removed ray leaves the live bitset and its
+    coordinates are released, and the transposed incidence gains each
+    inserted row once.  Each row runs over the live ids, picked from
+    range(len(rays)) by compress over the bytes of _bits(live_bits).  The
+    new rays of one row take consecutive ids from t0, and each one's zero
+    set is also written as an m-character bit string.  Column c of those
+    strings, last ray first, is the bitset of new rays zero on row
+    m - 1 - c, bit p standing for id t0 + p, so each row of the transposed
+    incidence gains its column in one OR shifted by t0.  The columns are taken one at a time: at rank 7 one
     row makes tens of thousands of new rays.  A new ray is divided by its
     gcd only when that is not 1, and each row's dot products run over its
-    nonzero entries only.  In three traced rank-6 enumerations
-    (BENCH_15.json) dd_rays' own time, outside adjacency_pairs, was 0.032 s
-    against 0.043 s with each new ray's bits added one at a time.  The
-    active rows of a final zero set are picked from range(m) by compress
-    over the bytes of _bits, the same read-off as adjacency_pairs' AND
-    chain: 3.0 ms for the 796 rank-6 rays, 69 of 132 bits set on average,
-    against 4.7 ms for enumerating the reversed binary string.  Output
-    rays are canonical (primitive integer, fixed direction) and sorted
-    lexicographically by coordinate vector, so the result is independent
-    of the input row order.
+    nonzero entries only.  The active rows of a final zero set are read
+    off the same way, picked from range(m) by compress over the bytes of
+    _bits.  Output rays are canonical (primitive integer, fixed direction)
+    and sorted lexicographically by coordinate vector, so the result is
+    independent of the input row order.
     """
     given = _as_rows(A)
     d = len(given[0])
@@ -362,13 +359,7 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
 
     rows = _integer_rows(given)
     m = len(rows)
-    # Lex-max, stable for equal rows.  On the 0/1 facet systems it keeps
-    # the intermediate frontier small: at rank 6 it peaks at 1,070 rays,
-    # against 1,791 for ascending nonzero count.
-    order = sorted(range(m), key=rows.__getitem__, reverse=True)
-
-    picked = _independent_rows([rows[k] for k in order], d)
-    basis_idx = [order[p] for p in picked]
+    basis_idx = _independent_rows(rows, d)
     if len(basis_idx) < d:
         raise NotPointed("inequality rows have rank %d < %d" % (len(basis_idx), d))
 
@@ -378,34 +369,30 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
         _inverse_columns([rows[k] for k in basis_idx]))
     basis_bits = sum(1 << k for k in basis_idx)
     masks: list[int] = [basis_bits ^ 1 << k for k in basis_idx]
-    live = list(range(d))
     live_bits = (1 << d) - 1
     zero_on = [0] * m
     for t, k in enumerate(basis_idx):
         zero_on[k] = live_bits ^ 1 << t
 
     fixed_width = ("{:0%db}" % m).format
-    in_basis = set(basis_idx)
-    remaining = [k for k in order if k not in in_basis]
     need = d - 2
 
-    for k in remaining:
+    for k in range(m):
+        if basis_bits >> k & 1:
+            continue
         support = [(c, x) for c, x in enumerate(rows[k]) if x]
         bit = 1 << k
-        keep: list[int] = []
         pos: list[int] = []
         neg: list[int] = []
         val: dict[int, int] = {}
         on_k = 0
-        for t in live:
+        for t in compress(range(len(rays)), _bits(live_bits)):
             ray = rays[t]
             v = sum([ray[c] * x for c, x in support])
             if v < 0:
                 neg.append(t)
                 val[t] = v
-                continue
-            keep.append(t)
-            if v:
+            elif v:
                 pos.append(t)
                 val[t] = v
             else:
@@ -432,14 +419,13 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
                 loc = int("".join(col), 2)
                 if loc:
                     zero_on[r] |= loc << t0
-            keep += range(t0, len(rays))
             live_bits |= (1 << len(pairs)) - 1 << t0
             for t in neg:
                 rays[t] = None
                 live_bits ^= 1 << t
-            live = keep
 
     out = []
+    live = compress(range(len(rays)), _bits(live_bits))
     for t in sorted(live, key=rays.__getitem__):
         active = tuple(compress(range(m), _bits(masks[t])))
         out.append((Ray(rays[t]), active))

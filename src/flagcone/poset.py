@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import ranksets
-from .intervals import Interval, IntervalSystem
+from .intervals import Interval, IntervalSystem, _check_ambient
 
 
 class PosetValidationError(ValueError):
@@ -262,7 +262,12 @@ def flag_number(P: GradedPoset, mask: int) -> int:
 
 
 def flag_vector(P: GradedPoset) -> dict[int, int]:
-    """All flag numbers, keyed by rank-set mask in ascending order."""
+    """All flag numbers, keyed by rank-set mask in ascending order.
+
+    There are 2**n of them, so an ambient above intervals.MAX_AMBIENT is
+    refused with AmbientTooLarge.
+    """
+    _check_ambient(P.n)
     return {mask: flag_number(P, mask) for mask in range(1 << P.n)}
 
 
@@ -421,9 +426,12 @@ def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
     A chain C belongs to F_S when each of its elements is the first atom of
     the interval from its predecessor up to the chain element at the next
     S-selected rank.  The class sizes reproduce the flag numbers, and
-    membership is equivalent to S blocking chain_interval_system(C).
+    membership is equivalent to S blocking chain_interval_system(C).  Every
+    chain is tried against all 2**n rank sets, so an ambient above
+    intervals.MAX_AMBIENT is refused with AmbientTooLarge.
     """
     n = P.n
+    _check_ambient(n)
     chains = P.maximal_chains()
     atom_cache: dict[tuple[str, str], str] = {}
 

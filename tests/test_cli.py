@@ -346,6 +346,19 @@ class TestPartition:
         assert "partition valid: yes" in out
 
 
+class TestRankSetBound:
+    # fvector and partition enumerate all 2**(rank - 1) rank sets, so a
+    # rank-30 poset is refused before any enumeration starts.
+    CHAIN = "poset rank=30\n" + "".join(
+        f"elem {r} {r}\n" + (f"cover {r - 1} {r}\n" if r else "") for r in range(31))
+
+    @pytest.mark.parametrize("command", ["fvector", "partition"])
+    def test_rank30_chain_exits_2(self, capsys, tmp_path, command):
+        path = write(tmp_path / "chain.poset", self.CHAIN)
+        assert main([command, "--poset", path]) == 2
+        assert capsys.readouterr() == ("", "error: ambient 29 > 20\n")
+
+
 class TestPolar:
     def test_rank2(self, capsys):
         code, out = run(capsys, ["polar", "--rank", "2"])

@@ -692,7 +692,7 @@ class TestPinnedOutputs:
     def rank7_frontier(count: int) -> list:
         # The intermediate cone the rank-7 run reaches after inserting
         # facet_system(6)'s 64 basis rows and its first `count` other rows in
-        # lex-max order; dd_rays inserts exactly these rows first.
+        # lex-max order; dd_rays inserts these rows in the order given.
         rows = sorted(facet_system(6).normal_matrix, reverse=True)
         basis = polyhedra._independent_rows(rows, len(rows[0]))
         chosen = set(basis)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,11 @@ class TestInterval:
         assert IntervalSystem.parse("[1,2]+[2,3]", 3) == sys_
         assert IntervalSystem.parse("empty", 3) == IntervalSystem.empty(3)
         assert str(IntervalSystem.empty(5)) == "empty"
+
+    @pytest.mark.parametrize("text", ["[1,2,3]", "[1]"])
+    def test_parse_rejects_bad_literal(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"bad interval literal {text!r}")):
+            IntervalSystem.parse(text, 3)
 
 
 class TestBlockers:

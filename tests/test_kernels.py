@@ -322,7 +322,7 @@ def test_witness_lists_save_and_chains(monkeypatch, n, expected):
     # Every witness found in a call stays on its positive ray's list, and
     # each one prunes the other positive rays it rules out, so pairs the two
     # last witnesses let through are ruled out without a chain: at rank 5,
-    # 124 chains against 139; at rank 6, 5,973 against 17,425.
+    # 117 chains against 130; at rank 6, 4,504 against 10,388.
     rays, counts = chain_counts(monkeypatch, n, {
         "lists": adjacency_pairs, "two": two_witness_scan,
     })
@@ -334,10 +334,11 @@ def test_witness_lists_save_and_chains(monkeypatch, n, expected):
 
 @pytest.mark.slow
 def test_prune_skips_most_pairs(monkeypatch):
-    # Of the 287,198 positive/negative pairs of the rank-6 run, the scan
-    # reads fewer than a tenth.  Each examined pair reads its positive ray's
-    # zero set once, and the negative rays and witness choices read the
-    # rest, so the reads bound the examined pairs from above.
+    # Of the 287,198 positive/negative pairs of the rank-6 run with its rows
+    # in lex-max order, the scan reads fewer than a tenth.  Each examined
+    # pair reads its positive ray's zero set once, and the negative rays and
+    # witness choices read the rest, so the reads bound the examined pairs
+    # from above.
     pairs = reads = 0
 
     def spy(masks, zero_on, live, pos, neg, need):
@@ -349,6 +350,7 @@ def test_prune_skips_most_pairs(monkeypatch):
         return got
 
     monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
-    assert len(polyhedra.dd_rays(facet_system(5).normal_matrix)) == 796
+    rows = sorted(facet_system(5).normal_matrix, reverse=True)
+    assert len(polyhedra.dd_rays(rows)) == 796
     assert pairs == 287198
     assert reads < pairs // 10

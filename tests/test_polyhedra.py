@@ -412,13 +412,41 @@ class TestIncidenceTranspose:
         assert neg and not pairs and len(masks) == t0
 
     def test_new_ids_far_above_the_row_count(self, monkeypatch):
-        # At rank 5 the last rows make rays with ids over twice the row
-        # count, so the shift by the first new id moves past every row bit.
+        # At rank 5, with the rows in lex-max order, the last rows make rays
+        # with ids over twice the row count, so the shift by the first new
+        # id moves past every row bit.
         expected = {r.coords for r, _ in dd_rays(facet_matrix(4))}
-        rows = with_repeats(random.Random(5), facet_matrix(4))
+        rows = sorted(with_repeats(random.Random(5), facet_matrix(4)), reverse=True)
         calls = self.run(monkeypatch, rows, expected)
         assert max(t0 for _, _, t0, _, pairs in calls if pairs) > 2 * len(rows)
         assert max(len(pairs) for *_, pairs in calls) > 1
+
+
+class TestInsertionOrder:
+    # dd_rays inserts the rows in the order given; facet_system's own order
+    # keeps the frontier within the final ray count at ranks 5 and 6.
+
+    @pytest.mark.parametrize("n, tested, made, peak", [
+        (4, 206, 64, 41),
+        pytest.param(5, 163217, 2179, 796, marks=pytest.mark.slow),
+    ])
+    def test_facet_order_frontier(self, monkeypatch, n, tested, made, peak):
+        # Per inserted row that cuts rays: positive/negative pairs tested,
+        # new rays made, and the live rays once the row is in.
+        counts = []
+
+        def spy(masks, zero_on, live, pos, neg, need):
+            pairs = adjacency_pairs(masks, zero_on, live, pos, neg, need)
+            counts.append((len(pos) * len(neg), len(pairs),
+                           live.bit_count() - len(neg) + len(pairs)))
+            return pairs
+
+        monkeypatch.setattr(polyhedra, "adjacency_pairs", spy)
+        rows = facet_system(n).normal_matrix
+        out = dd_rays(rows)
+        assert sum(c[0] for c in counts) == tested
+        assert sum(c[1] for c in counts) == made
+        assert max(len(rows[0]), *(c[2] for c in counts)) == peak == len(out)
 
 
 def fraction_inverse(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:

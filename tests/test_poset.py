@@ -9,7 +9,9 @@ import pytest
 
 from flagcone import ranksets
 from flagcone.cone import facet_system
-from flagcone.intervals import Interval, IntervalSystem, blockers, is_blocker
+from flagcone.intervals import (
+    MAX_AMBIENT, AmbientTooLarge, Interval, IntervalSystem, blockers, is_blocker,
+)
 from flagcone.poset import (
     GradedPoset,
     NotComparable,
@@ -129,6 +131,15 @@ class TestValidate:
         P = validate([("0", 0), ("1", 1)], [("0", "1")])
         assert P.rank == 1
         assert flag_vector(P) == {0: 1}
+
+    @pytest.mark.parametrize("enumerate_rank_sets", [flag_vector, partition_classes])
+    def test_refuses_too_many_rank_sets(self, enumerate_rank_sets):
+        # A chain of rank MAX_AMBIENT + 2 has 2**(MAX_AMBIENT + 1) rank sets.
+        rank = MAX_AMBIENT + 2
+        P = validate([(str(r), r) for r in range(rank + 1)],
+                     [(str(r), str(r + 1)) for r in range(rank)])
+        with pytest.raises(AmbientTooLarge, match=f"^ambient {rank - 1} > {MAX_AMBIENT}$"):
+            enumerate_rank_sets(P)
 
 
 def order_posets():
