@@ -337,8 +337,8 @@ def extreme_rays(n: int) -> ExtremeReport:
     Each ray keeps its integer coordinates and the active facets dd_rays
     read off its zero set, is converted to a form, and is classified
     against the lower-rank reports.  Ambients up to 4 take well under a
-    second; n = 5 (rank 6) takes about 0.19 s on one 2.1 GHz x86-64 core
-    (perfbench enumerate-r6 solve_s, median of ten runs, BENCH_18.json).
+    second; n = 5 (rank 6) takes about 0.17 s on one 2.1 GHz x86-64 core
+    (perfbench enumerate-r6 solve_s, median of ten runs, BENCH_19.json).
     Reports are cached per ambient.
     """
     if n > MAX_DD_AMBIENT:

@@ -8,25 +8,28 @@ Fraction.  One fraction-free echelon routine, _independent_rows, gives
 matrix_rank, the first d independent rows of dd_rays and the rank test of
 cone.is_extreme, which stops once the active rows reach rank d - 1.
 
-The double description implementation starts from the rays of those d
-rows (the columns of their inverse, _inverse_columns) and inserts the
-other inequality rows one at a time, in the order given, keeping the
-extreme rays of the intermediate cone as tuples of plain Python ints.  The
-order sets the size of the intermediate cones, not the output: in
-facet_system(5)'s own order the frontier never exceeds the 796 final
-rays.  Repeated and all-zero rows are inserted too, not deduplicated.
-Each ray keeps one id for the whole run.  Its zero set over the rows
-inserted so far is a bitmask, and the transposed incidence (for each
-inserted row, the bitset of ray ids zero on it) is kept alongside; both
-are updated incrementally, never rebuilt.  The new rays of one
+The double description implementation starts from the rays of those d rows
+(the columns of their inverse, _inverse_columns) and inserts the other
+inequality rows one at a time, in the order given, keeping the extreme
+rays of the intermediate cone as tuples of plain Python ints.  The order
+sets the size of the intermediate cones, not the output: in
+facet_system(5)'s own order the frontier never exceeds the 796 final rays.
+Repeated and all-zero rows are inserted too, not deduplicated.  Each
+inserted row is evaluated on all live rays in one column-wise pass: one
+map per nonzero entry over the rays' coordinates in that column, and one
+C-level sum per ray over those columns, so no Python loop runs per ray and
+coefficient.  Each ray keeps one id for the whole run.  Its zero set over
+the rows inserted so far is a bitmask, and the transposed incidence (for
+each inserted row, the bitset of ray ids zero on it) is kept alongside;
+both are updated incrementally, never rebuilt.  The new rays of one
 inserted row reach the transposed incidence in one column transpose of
 their zero sets, written as fixed-width bit strings.  Adjacency of a
 positive/negative ray pair is decided by the combinatorial test alone: the
 pair's common zero set must have at least d-2 rows and must not be
 contained in the zero set of any third ray.  For the extreme rays of a
 pointed cone this test is exact (Fukuda & Prodon, "Double Description
-Method Revisited", 1996), so no rank computation runs inside the loop.
-The scan runs per negative ray over a bitset of the positive rays still to
+Method Revisited", 1996), so no rank computation runs inside the loop.  The
+scan runs per negative ray over a bitset of the positive rays still to
 test.  A pair is tried against its positive ray's witness list before the
 AND scan over the transposed incidence, and every third ray that rules a
 pair out also drops, in one bitset step, each remaining positive ray whose
@@ -44,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import and_
+from operator import and_, itemgetter, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -337,20 +340,26 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     _inverse_columns).  Inside the loop rays are plain int tuples named by
     stable ids: ids only grow, a removed ray leaves the live bitset and its
     coordinates are released, and the transposed incidence gains each
-    inserted row once.  Each row runs over the live ids, picked from
-    range(len(rays)) by compress over the bytes of _bits(live_bits).  The
-    new rays of one row take consecutive ids from t0, and each one's zero
-    set is also written as an m-character bit string.  Column c of those
-    strings, last ray first, is the bitset of new rays zero on row
-    m - 1 - c, bit p standing for id t0 + p, so each row of the transposed
-    incidence gains its column in one OR shifted by t0.  The columns are taken one at a time: at rank 7 one
-    row makes tens of thousands of new rays.  A new ray is divided by its
-    gcd only when that is not 1, and each row's dot products run over its
-    nonzero entries only.  The active rows of a final zero set are read
-    off the same way, picked from range(m) by compress over the bytes of
-    _bits.  Output rays are canonical (primitive integer, fixed direction)
-    and sorted lexicographically by coordinate vector, so the result is
-    independent of the input row order.
+    inserted row once.  Each row gathers the live ids and their rays once,
+    picked from range(len(rays)) and rays by compress over the bytes of
+    _bits(live_bits), and evaluates itself on all of them column by column:
+    for each nonzero entry x in column c, the column map(itemgetter(c),
+    live_rays), multiplied through map(mul, repeat(x), ...) only when x is
+    not 1, and one C-level sum per ray over the zip of those columns.  A
+    leading column of zeros keeps an all-zero row's values zero.  The
+    values then split the ids into positive, negative and zero in ascending
+    id order.  The new rays of one row take consecutive ids from t0, and
+    each one's zero set is also written as an m-character bit string.
+    Column c of those strings, last ray first, is the bitset of new rays
+    zero on row m - 1 - c, bit p standing for id t0 + p, so each row of the
+    transposed incidence gains its column in one OR shifted by t0.  The
+    columns are taken one at a time: at rank 7 one row makes tens of
+    thousands of new rays.  A new ray is divided by its gcd only when that
+    is not 1.  The active rows of a final zero set are read off the same
+    way, picked from range(m) by compress over the bytes of _bits.  Output
+    rays are canonical (primitive integer, fixed direction) and sorted
+    lexicographically by coordinate vector, so the result is independent of
+    the input row order.
     """
     given = _as_rows(A)
     d = len(given[0])
@@ -380,27 +389,33 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     for k in range(m):
         if basis_bits >> k & 1:
             continue
-        support = [(c, x) for c, x in enumerate(rows[k]) if x]
         bit = 1 << k
+        flags = _bits(live_bits)
+        ids = list(compress(range(len(rays)), flags))
+        live_rays = list(compress(rays, flags))
+        # Row k on every live ray at once: one map per nonzero entry, then
+        # one sum per ray; the column of zeros keeps an all-zero row at 0.
+        columns = [
+            map(itemgetter(c), live_rays) if x == 1
+            else map(mul, repeat(x), map(itemgetter(c), live_rays))
+            for c, x in enumerate(rows[k]) if x
+        ]
+        values = list(map(sum, zip(repeat(0, len(ids)), *columns)))
         pos: list[int] = []
         neg: list[int] = []
-        val: dict[int, int] = {}
         on_k = 0
-        for t in compress(range(len(rays)), _bits(live_bits)):
-            ray = rays[t]
-            v = sum([ray[c] * x for c, x in support])
+        for t, v in zip(ids, values):
             if v < 0:
                 neg.append(t)
-                val[t] = v
             elif v:
                 pos.append(t)
-                val[t] = v
             else:
                 masks[t] |= bit
                 on_k |= 1 << t
         zero_on[k] = on_k
         if neg:
             pairs = adjacency_pairs(masks, zero_on, live_bits, pos, neg, need)
+            val = dict(zip(ids, values))
             # The new rays take ids t0, t0 + 1, ...; column c of their
             # zero-set strings, last ray first, is the bitset of those zero
             # on row m - 1 - c, bit p standing for id t0 + p.

@@ -53,7 +53,11 @@ def to_string(mask: int) -> str:
 
 
 def parse(text: str) -> int:
-    """Parse a set literal like "{1,3}" or "{}" back to a mask."""
+    """Parse a set literal like "{1,3}" or "{}" back to a mask.
+
+    Each element must be an integer, named once: "{1,1}", "{1,}" and
+    "{1;2}" are bad rank-set literals.
+    """
     s = text.strip()
     if s.startswith('"') and s.endswith('"'):
         s = s[1:-1]
@@ -62,7 +66,13 @@ def parse(text: str) -> int:
     body = s[1:-1].strip()
     if not body:
         return 0
-    return mask_of(int(part) for part in body.split(","))
+    try:
+        ranks = [int(part) for part in body.split(",")]
+    except ValueError:
+        raise ValueError(f"bad rank-set literal {text!r}") from None
+    if len(set(ranks)) != len(ranks):
+        raise ValueError(f"bad rank-set literal {text!r}")
+    return mask_of(ranks)
 
 
 def subsets(n: int) -> Iterator[int]:

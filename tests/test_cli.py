@@ -247,6 +247,13 @@ class TestCheck:
         code, _ = run(capsys, ["check", "--rank", "5", "--form", path])
         assert code == 2
 
+    def test_repeated_rank_in_form_file_is_error(self, capsys, tmp_path):
+        path = write(tmp_path / "twice.form", 'form rank=3\n"{1,1}" 1\n')
+        assert main(["check", "--rank", "3", "--form", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad rank-set literal '\"{1,1}\"'\n"
+
     def test_missing_file_is_error(self, capsys, tmp_path):
         code, _ = run(
             capsys, ["check", "--rank", "4", "--form", str(tmp_path / "nope")]

@@ -649,6 +649,18 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 of the same rays with their active rows appended, one line per
+# ray: dd_rays(facet_system(n).normal_matrix) as (coords + active).
+ACTIVE_DIGESTS = {
+    0: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    1: "7c17095060b29c946475a61ccfebf0085e3a5768724f91df25cefe87630a6f97",
+    2: "696c1af2e5ac3ff361d35409dfe5a382701b04c261999580a859614ff054c1a6",
+    3: "cb803053fe93ac6c288cfa1c0477d4e32253266a9da1b1232350dfd287833e54",
+    4: "9f377d2775ae7c7e2d857fbfaaeae184a06823712298c20430078ff252e90387",
+    5: "248b41c8f5d03bc01d82da9189ae527cfb5dde25dc34fd9b298e048530c209c2",
+}
+
+
 # SHA-256 of the rows (antichain, normal) of facet_system(n).facets.
 FACET_DIGESTS = {
     0: "93283ba1cf3160092440923a49508936df910b63beb75e878bbe520678497769",
@@ -670,12 +682,16 @@ class TestPinnedOutputs:
     # Changes to the double description loop (row order, adjacency scan)
     # must leave its output byte for byte the same.
 
-    @pytest.mark.parametrize(
-        "n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
-    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_dd_rays_digest(self, n):
         rays = dd_rays(facet_system(n).normal_matrix)
         assert rows_digest(r.coords for r, _ in rays) == PINNED_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_dd_rays_active_digest(self, n):
+        rays = dd_rays(facet_system(n).normal_matrix)
+        assert rows_digest(r.coords + active for r, active in rays) == (
+            ACTIVE_DIGESTS[n])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_flag_cone_facets_digest(self, n):

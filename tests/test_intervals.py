@@ -242,6 +242,11 @@ class TestRankSets:
         assert ranksets.to_string(0b101) == "{1,3}"
         assert ranksets.parse('"{1,3}"') == 0b101
 
+    @pytest.mark.parametrize("text", ["{1,1}", '"{2,3,2}"', "{1,}", "{a}", "{1;2}"])
+    def test_parse_rejects_bad_literal(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"bad rank-set literal {text!r}")):
+            ranksets.parse(text)
+
     def test_interval_mask(self):
         assert ranksets.interval_mask(2, 4) == 0b1110
 

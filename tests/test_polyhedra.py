@@ -378,6 +378,35 @@ class TestIncidence:
             assert active == zero_rows(rows, ray.coords)
 
 
+class TestRowEvaluation:
+    # dd_rays evaluates each inserted row column by column and multiplies a
+    # column only when its entry is not 1.  Facet rows are 0/1, so only
+    # rows like these reach the multiplied columns: entries in [-5, 5],
+    # plus a row with one nonzero entry, an all-zero row and a multiple of
+    # another row, each put in at a random place.
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integer_rows_match_brute_force(self, seed):
+        rng = random.Random(1900 + seed)
+        while True:
+            d = rng.randint(1, 5)
+            base = [tuple(rng.randint(-5, 5) for _ in range(d))
+                    for _ in range(rng.randint(d, d + 3))]
+            if gauss_pivots(base)[0] == d:
+                break
+        single = [0] * d
+        single[rng.randrange(d)] = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
+        factor = rng.randint(2, 5)
+        rows = list(base)
+        for row in (tuple(single), (0,) * d,
+                    tuple(factor * x for x in rng.choice(base))):
+            rows.insert(rng.randint(0, len(rows)), row)
+        out = dd_rays(rows)
+        assert {r.coords for r, _ in out} == brute_rays(rows)
+        for ray, active in out:
+            assert active == zero_rows(rows, ray.coords)
+
+
 class TestIncidenceTranspose:
     # The new rays of one row reach the transposed incidence in one column
     # transpose of their fixed-width zero-set strings.  Removed rays keep
