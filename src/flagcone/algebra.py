@@ -455,7 +455,8 @@ def render_terms(letter: str, terms: Iterable[tuple[int, Scalar]]) -> str:
 
 
 def parse_form(text: str) -> Form:
-    """Parse the form text format; accepts integer or num/den coefficients."""
+    """Parse the form text format: integer or num/den coefficients, at most
+    one term line per rank set."""
     degree = None
     coeffs: dict[int, Fraction] = {}
     for raw in text.splitlines():
@@ -475,8 +476,9 @@ def parse_form(text: str) -> Form:
             if len(parts) != 2:
                 raise ValueError(f"bad term line {raw!r}")
             mask = ranksets.parse(parts[0])
-            c = Fraction(parts[1])
-            coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
+            if mask in coeffs:
+                raise ValueError(f"repeated term line {raw!r}")
+            coeffs[mask] = Fraction(parts[1])
     if degree is None:
         raise ValueError("missing form header")
     return Form(degree, coeffs)

@@ -48,6 +48,7 @@ CHECK_RANK_CAP = MAX_MEMBERSHIP_AMBIENT + 1
 WITNESS_N_CAP = 64
 WITNESS_K_CAP = 4
 WITNESS_RANK_CAP = 10
+WITNESS_ELEMENT_CAP = 4096
 
 
 def _h_text(F: Form) -> str:
@@ -123,16 +124,10 @@ def cmd_extremes(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     F = parse_form(_read_text(args.form))
     if F.degree != args.rank:
-        print(
-            f"error: form has rank {F.degree}, --rank says {args.rank}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"form has rank {F.degree}, --rank says {args.rank}")
     result = contains(F)
-    agree = contains_by_projection(F) == bool(result)
-    if not agree:
-        print("error: membership algorithms disagree", file=sys.stderr)
-        return 2
+    if contains_by_projection(F) != bool(result):
+        raise ValueError("membership algorithms disagree")
     if result:
         print("in cone: yes")
         return 0
@@ -164,15 +159,17 @@ def cmd_witness(args: argparse.Namespace) -> int:
     n = args.rank - 1
     system = IntervalSystem.parse(args.intervals, n)
     if args.N > WITNESS_N_CAP:
-        print(f"error: N = {args.N} exceeds the cap {WITNESS_N_CAP}", file=sys.stderr)
-        return 2
+        raise ValueError(f"N = {args.N} exceeds the cap {WITNESS_N_CAP}")
     if len(system) > WITNESS_K_CAP:
-        print(
-            f"error: {len(system)} intervals exceed the cap {WITNESS_K_CAP}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"{len(system)} intervals exceed the cap {WITNESS_K_CAP}")
     spec = WitnessSpec(n, system, args.N)
+    # The flag number of {i} counts level i; the bottom and top add one each.
+    size = 2 + sum(spec.predicted_flag_number(1 << i) for i in range(n))
+    if size > WITNESS_ELEMENT_CAP:
+        raise ValueError(
+            f"the witness poset would have {size} elements, "
+            f"above the cap {WITNESS_ELEMENT_CAP}"
+        )
     P = witness_poset(spec)
     print(f"witness rank={args.rank} intervals={system} N={args.N}")
     print(f"elements={len(P)} covers={len(P.covers)}")

@@ -52,26 +52,28 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalSystem:
-    """A set of intervals inside [1, ambient_n].  ambient_n = 0 forces emptiness."""
+    """A set of intervals inside [1, ambient_n], held as an ascending tuple of
+    distinct intervals whatever it was built from.  ambient_n = 0 forces emptiness."""
 
     ambient_n: int
-    intervals: frozenset[Interval]
+    intervals: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
         if self.ambient_n < 0:
             raise IntervalOutOfRange(f"ambient {self.ambient_n} < 0")
-        for iv in self.intervals:
+        ivs = tuple(sorted(set(self.intervals)))
+        for iv in ivs:
             if iv.hi > self.ambient_n:
                 raise IntervalOutOfRange(f"{iv} exceeds ambient [1,{self.ambient_n}]")
+        object.__setattr__(self, "intervals", ivs)
 
     @classmethod
     def of(cls, ambient_n: int, intervals: Iterable[Interval | tuple[int, int]]) -> "IntervalSystem":
-        ivs = frozenset(iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals)
-        return cls(ambient_n, ivs)
+        return cls(ambient_n, [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals])
 
     @classmethod
     def empty(cls, ambient_n: int) -> "IntervalSystem":
-        return cls(ambient_n, frozenset())
+        return cls(ambient_n, ())
 
     @classmethod
     def parse(cls, text: str, ambient_n: int) -> "IntervalSystem":
@@ -82,36 +84,26 @@ class IntervalSystem:
         ivs = []
         for part in s.split("+"):
             p = part.strip()
-            ends = p[1:-1].split(",")
-            if not (p.startswith("[") and p.endswith("]")) or len(ends) != 2:
+            ends = [e.strip() for e in p[1:-1].split(",")]
+            digits = all(e.isascii() and e.isdigit() for e in ends)
+            if not (p.startswith("[") and p.endswith("]") and len(ends) == 2 and digits):
                 raise ValueError(f"bad interval literal {part!r}")
             ivs.append(Interval(int(ends[0]), int(ends[1])))
         return cls.of(ambient_n, ivs)
 
-    @property
-    def sorted_intervals(self) -> tuple[Interval, ...]:
-        return tuple(sorted(self.intervals))
-
     def sort_key(self) -> tuple:
-        return tuple((iv.lo, iv.hi) for iv in self.sorted_intervals)
+        return tuple((iv.lo, iv.hi) for iv in self.intervals)
 
     def __len__(self) -> int:
         return len(self.intervals)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.sorted_intervals)
+        return iter(self.intervals)
 
     def __str__(self) -> str:
         if not self.intervals:
             return "empty"
-        return "+".join(str(iv) for iv in self.sorted_intervals)
-
-    def __repr__(self) -> str:
-        """The dataclass repr with the intervals sorted, so equal systems
-        print the same whatever order they were built in."""
-        ivs = ", ".join(map(repr, self.sorted_intervals))
-        body = f"frozenset({{{ivs}}})" if ivs else "frozenset()"
-        return f"IntervalSystem(ambient_n={self.ambient_n!r}, intervals={body})"
+        return "+".join(str(iv) for iv in self.intervals)
 
 
 @dataclass(frozen=True)

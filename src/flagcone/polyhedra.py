@@ -4,9 +4,11 @@ This module handles pointed polyhedral cones {x : Ax >= 0} with
 arbitrary-precision rational data: dd_rays turns a system of inequalities
 into the complete list of extreme rays.  Everything is exact; there is no
 floating point anywhere on a decision path, and integer input builds no
-Fraction.  One fraction-free echelon routine, _independent_rows, gives
-matrix_rank, the first d independent rows of dd_rays and the rank test of
-cone.is_extreme, which stops once the active rows reach rank d - 1.
+Fraction.  _primitive scales a vector to coprime integers for canonicalize
+and for the rows of matrix_rank and dd_rays.  One fraction-free echelon
+routine, _independent_rows, gives matrix_rank, the first d independent
+rows of dd_rays and the rank test of cone.is_extreme, which stops once the
+active rows reach rank d - 1.
 
 The double description implementation starts from the rays of those d rows
 (the columns of their inverse, _inverse_columns) and inserts the other
@@ -50,7 +52,7 @@ from functools import reduce
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import and_, itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "DimensionOverflow",
@@ -114,41 +116,28 @@ class Ray:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-def canonicalize(v: Sequence[Scalar]) -> Ray:
-    """Scale a nonzero rational vector to a primitive integer ray.
+def _primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers; a zero vector stays zero.
 
-    Clears denominators and divides by the gcd; the direction is kept as
-    given, there is no sign normalization.  Integer input skips the
-    rational arithmetic.
+    Clears denominators and divides by the gcd, keeping the direction (no
+    sign normalization).  Integer input skips the rational arithmetic.
     """
     if all(isinstance(x, int) for x in v):
-        ints = list(v)
+        ints = v
     else:
         fracs = [Fraction(x) for x in v]
         scale = lcm(*(f.denominator for f in fracs))
         ints = [int(f * scale) for f in fracs]
     g = gcd(*ints)
-    if g == 0:
+    return tuple([x // g for x in ints]) if g > 1 else tuple(ints)
+
+
+def canonicalize(v: Sequence[Scalar]) -> Ray:
+    """The primitive integer ray of a nonzero rational vector, by _primitive."""
+    ints = _primitive(v)
+    if not any(ints):
         raise ZeroVector("cannot canonicalize the zero vector")
-    return Ray(tuple(x // g for x in ints))
-
-
-def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Scale each row to coprime integers; a zero row stays a zero tuple.
-
-    An all-int row is divided by its gcd; only a row holding a Fraction goes
-    through canonicalize.
-    """
-    out: list[tuple[int, ...]] = []
-    for row in rows:
-        if not any(row):
-            out.append((0,) * len(row))
-        elif all(isinstance(x, int) for x in row):
-            g = gcd(*row)
-            out.append(tuple([x // g for x in row]))
-        else:
-            out.append(canonicalize(row).coords)
-    return out
+    return Ray(ints)
 
 
 def _as_rows(A: Sequence[Sequence[Scalar]]) -> list[Sequence[Scalar]]:
@@ -197,7 +186,7 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 def matrix_rank(A: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank: the number of independent rows of A scaled to integers."""
     rows = _as_rows(A)
-    return len(_independent_rows(_integer_rows(rows), len(rows[0])))
+    return len(_independent_rows(list(map(_primitive, rows)), len(rows[0])))
 
 
 def _inverse_columns(B: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -366,7 +355,7 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     if d > MAX_COLS:
         raise DimensionOverflow("cone dimension %d exceeds %d" % (d, MAX_COLS))
 
-    rows = _integer_rows(given)
+    rows = list(map(_primitive, given))
     m = len(rows)
     basis_idx = _independent_rows(rows, d)
     if len(basis_idx) < d:

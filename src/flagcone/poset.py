@@ -314,14 +314,11 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
     come out as N to the number of intervals the rank set meets.
     """
     n, N = spec.n, spec.N
-    ivs = spec.intervals.sorted_intervals
+    ivs = spec.intervals.intervals
     k = len(ivs)
 
     def row(i: int) -> list[tuple]:
-        axes = [
-            range(1, N + 1) if ivs[j].lo <= i <= ivs[j].hi else (None,)
-            for j in range(k)
-        ]
+        axes = [range(1, N + 1) if iv.lo <= i <= iv.hi else (None,) for iv in ivs]
         return [tuple(p) for p in itertools.product(*axes)]
 
     def name(i: int, p: tuple) -> str:

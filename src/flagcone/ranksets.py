@@ -55,8 +55,9 @@ def to_string(mask: int) -> str:
 def parse(text: str) -> int:
     """Parse a set literal like "{1,3}" or "{}" back to a mask.
 
-    Each element must be an integer, named once: "{1,1}", "{1,}" and
-    "{1;2}" are bad rank-set literals.
+    Each element must be ASCII digits, spaces around them allowed, named
+    once: "{1,1}", "{1,}", "{1;2}", "{1_0}" and "{+2}" are bad rank-set
+    literals.
     """
     s = text.strip()
     if s.startswith('"') and s.endswith('"'):
@@ -66,11 +67,9 @@ def parse(text: str) -> int:
     body = s[1:-1].strip()
     if not body:
         return 0
-    try:
-        ranks = [int(part) for part in body.split(",")]
-    except ValueError:
-        raise ValueError(f"bad rank-set literal {text!r}") from None
-    if len(set(ranks)) != len(ranks):
+    parts = [part.strip() for part in body.split(",")]
+    ranks = {int(part) for part in parts if part.isascii() and part.isdigit()}
+    if len(ranks) != len(parts):
         raise ValueError(f"bad rank-set literal {text!r}")
     return mask_of(ranks)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -555,3 +556,10 @@ class TestTextFormat:
             parse_form("{1} 2\n")
         with pytest.raises(ValueError):
             parse_form("form rank=3\nnonsense\n")
+
+    @pytest.mark.parametrize("terms", ['"{1}" 1\n"{1}" 1', '{1,2} 1\n"{2,1}" -1'])
+    def test_repeated_term_line_rejected(self, terms):
+        # Repeated lines are refused, not added up.
+        second = terms.splitlines()[1]
+        with pytest.raises(ValueError, match=re.escape(f"repeated term line {second!r}")):
+            parse_form(f"form rank=3\n{terms}\n")

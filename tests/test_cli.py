@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from flagcone import cli, ranksets
+from flagcone import cli, poset, ranksets
 from flagcone.algebra import Form
 from flagcone.cli import _h_text, main
 from flagcone.cone import facet_system
@@ -244,8 +244,24 @@ class TestCheck:
 
     def test_rank_mismatch_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "banker.form", BANKER)
-        code, _ = run(capsys, ["check", "--rank", "5", "--form", path])
-        assert code == 2
+        assert main(["check", "--rank", "5", "--form", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: form has rank 4, --rank says 5\n"
+        )
+
+    def test_membership_disagreement_is_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "contains_by_projection", lambda F: False)
+        path = write(tmp_path / "banker.form", BANKER)
+        assert main(["check", "--rank", "4", "--form", path]) == 2
+        assert capsys.readouterr() == ("", "error: membership algorithms disagree\n")
+
+    def test_repeated_term_line_is_error(self, capsys, tmp_path):
+        # Two lines for {1} used to add up to 2*f{1}, a form in the cone.
+        path = write(tmp_path / "twice.form", 'form rank=3\n"{1}" 1\n"{1}" 1\n')
+        assert main(["check", "--rank", "3", "--form", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: repeated term line '\"{1}\" 1'\n"
+        )
 
     def test_repeated_rank_in_form_file_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "twice.form", 'form rank=3\n"{1,1}" 1\n')
@@ -295,22 +311,48 @@ class TestWitnessAndFvector:
             assert got[mask] == spec.predicted_flag_number(mask)
 
     def test_n_cap(self, capsys):
-        code, _ = run(
-            capsys, ["witness", "--rank", "3", "--intervals", "empty", "--N", "65"]
-        )
-        assert code == 2
+        assert main(["witness", "--rank", "3", "--intervals", "empty", "--N", "65"]) == 2
+        assert capsys.readouterr() == ("", "error: N = 65 exceeds the cap 64\n")
 
     def test_interval_count_cap(self, capsys):
-        code, _ = run(
-            capsys,
-            [
-                "witness",
-                "--rank", "6",
-                "--intervals", "[1,1]+[2,2]+[3,3]+[4,4]+[5,5]",
-                "--N", "2",
-            ],
-        )
+        code = main([
+            "witness",
+            "--rank", "6",
+            "--intervals", "[1,1]+[2,2]+[3,3]+[4,4]+[5,5]",
+            "--N", "2",
+        ])
         assert code == 2
+        assert capsys.readouterr() == ("", "error: 5 intervals exceed the cap 4\n")
+
+    @pytest.mark.parametrize("rank, intervals, N, size", [
+        (10, "[1,9]+[2,8]", 64, 28802),
+        (10, "[1,9]+[1,8]+[2,9]+[2,8]", 8, 28802),
+        (10, "[1,9]+[1,8]+[2,9]+[2,8]", 64, 7 * 64**4 + 2 * 64**2 + 2),
+        (3, "[1,2]+[1,1]", 64, 4162),
+    ])
+    def test_element_cap(self, capsys, monkeypatch, rank, intervals, N, size):
+        # Level i has N ** (number of intervals holding i) elements; a spec
+        # above the cap is refused before any poset is built.
+        def boom(spec):
+            raise AssertionError("witness poset built")
+
+        monkeypatch.setattr(cli, "witness_poset", boom)
+        monkeypatch.setattr(poset, "witness_poset", boom)
+        argv = ["witness", "--rank", str(rank), "--intervals", intervals, "--N", str(N)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the witness poset would have {size} elements, "
+            "above the cap 4096\n"
+        )
+
+    def test_element_cap_admits_its_bound(self, capsys):
+        # 2 + 63**2 + 63 = 4034 elements, the largest at this rank below
+        # the cap; the element line reports the same count.
+        argv = ["witness", "--rank", "3", "--intervals", "[1,2]+[1,1]", "--N", "63"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert "elements=4034 " in out
+        assert out.endswith("closed form matches: yes\n")
 
     def test_rank1_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,7 +23,7 @@ from flagcone.intervals import (
 
 def minimal_intervals(system: IntervalSystem) -> IntervalSystem:
     """Oracle: the antichain of containment-minimal member intervals."""
-    ivs = system.sorted_intervals
+    ivs = system.intervals
     keep = [a for a in ivs if not any(b != a and a.contains(b) for b in ivs)]
     return IntervalSystem.of(system.ambient_n, keep)
 
@@ -78,6 +78,8 @@ class TestInterval:
             Interval(0, 3)
         with pytest.raises(IntervalOutOfRange):
             IntervalSystem.of(3, [(2, 4)])
+        with pytest.raises(IntervalOutOfRange):
+            IntervalSystem(3, frozenset({Interval(1, 1), Interval(2, 4)}))
 
     def test_mask(self):
         assert Interval(2, 4).mask == 0b1110
@@ -90,10 +92,38 @@ class TestInterval:
         assert IntervalSystem.parse("empty", 3) == IntervalSystem.empty(3)
         assert str(IntervalSystem.empty(5)) == "empty"
 
-    @pytest.mark.parametrize("text", ["[1,2,3]", "[1]"])
+    @pytest.mark.parametrize(
+        "text", ["[1,2,3]", "[1]", "[1,]", "[1_0,12]", "[\u0661,2]", "[-1,2]"]
+    )
     def test_parse_rejects_bad_literal(self, text):
+        # Only ASCII digits: int() alone would read "1_0" as 10 and an
+        # Arabic-Indic one as 1.
         with pytest.raises(ValueError, match=re.escape(f"bad interval literal {text!r}")):
             IntervalSystem.parse(text, 3)
+
+    def test_parse_allows_spaces_around_digits(self):
+        assert IntervalSystem.parse(" [ 1 , 2 ]+[2, 3] ", 3) == IntervalSystem.of(3, [(1, 2), (2, 3)])
+
+
+class TestCanonicalForm:
+    @given(systems(), st.randoms(use_true_random=False))
+    def test_equal_however_built(self, sys_, rnd):
+        n, ivs = sys_.ambient_n, list(sys_.intervals)
+        assert all(a < b for a, b in zip(ivs, ivs[1:]))
+        doubled = ivs + ivs
+        rnd.shuffle(doubled)
+        for other in (
+            IntervalSystem.of(n, doubled),
+            IntervalSystem.of(n, [(iv.lo, iv.hi) for iv in reversed(ivs)]),
+            IntervalSystem(n, frozenset(ivs)),
+            IntervalSystem(n, doubled),
+            IntervalSystem.parse(str(sys_), n),
+        ):
+            assert other == sys_
+            assert other.intervals == sys_.intervals
+            assert repr(other) == repr(sys_)
+            assert hash(other) == hash(sys_)
+            assert list(other) == ivs
 
 
 class TestBlockers:
@@ -165,7 +195,7 @@ class TestMinimalIntervals:
 
     @given(systems())
     def test_result_is_antichain(self, sys_):
-        m = minimal_intervals(sys_).sorted_intervals
+        m = minimal_intervals(sys_).intervals
         for a, b in itertools.combinations(m, 2):
             assert not a.contains(b) and not b.contains(a)
 
@@ -242,10 +272,17 @@ class TestRankSets:
         assert ranksets.to_string(0b101) == "{1,3}"
         assert ranksets.parse('"{1,3}"') == 0b101
 
-    @pytest.mark.parametrize("text", ["{1,1}", '"{2,3,2}"', "{1,}", "{a}", "{1;2}"])
+    @pytest.mark.parametrize("text", [
+        "{1,1}", '"{2,3,2}"', "{1,}", "{a}", "{1;2}",
+        "{1_0}", "{+2}", "{-1}", "{\u0663}",
+    ])
     def test_parse_rejects_bad_literal(self, text):
         with pytest.raises(ValueError, match=re.escape(f"bad rank-set literal {text!r}")):
             ranksets.parse(text)
+
+    def test_parse_allows_spaces_around_digits(self):
+        assert ranksets.parse("{ 1 , 3 }") == 0b101
+        assert ranksets.parse("{ }") == 0
 
     def test_interval_mask(self):
         assert ranksets.interval_mask(2, 4) == 0b1110

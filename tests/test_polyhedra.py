@@ -19,7 +19,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcone import polyhedra
@@ -120,6 +120,25 @@ class TestCanonicalize:
         if not any(v):
             return
         assert canonicalize([c * x for x in v]).coords == canonicalize(v).coords
+
+    @given(st.lists(st.one_of(st.integers(-30, 30),
+                              st.fractions(-5, 5, max_denominator=12)),
+                    min_size=1, max_size=6))
+    @example([0, 0, 0])
+    @example([Fraction(0), 0])
+    @example([6, -4, 0])
+    def test_primitive_matches_fraction_oracle(self, v):
+        w = polyhedra._primitive(v)
+        assert len(w) == len(v) and all(type(x) is int for x in w)
+        if not any(v):
+            assert w == (0,) * len(v)
+            return
+        # Coprime integers, a positive multiple of v.
+        assert gcd(*w) == 1
+        k = next(i for i, x in enumerate(v) if x)
+        c = Fraction(w[k]) / Fraction(v[k])
+        assert c > 0
+        assert [Fraction(x) for x in w] == [c * Fraction(x) for x in v]
 
     def test_ray_must_be_primitive(self):
         with pytest.raises(ValueError):
@@ -263,16 +282,15 @@ class TestDDRays:
         assert len(dd_rays(facet_system(3).normal_matrix)) == 13
 
     def test_integer_rank_builds_no_ray(self, monkeypatch):
-        # matrix_rank divides an all-int row by its gcd directly; only a
-        # row holding a Fraction is scaled through canonicalize (and Ray).
+        # matrix_rank scales its rows with _primitive, which builds no Ray,
+        # whether a row holds only ints or a Fraction too.
         def no_ray(*args):
-            raise AssertionError("Ray built from integer input")
+            raise AssertionError("Ray built by matrix_rank")
 
         monkeypatch.setattr(polyhedra, "Ray", no_ray)
         assert matrix_rank(facet_matrix(4)) == 16
         assert matrix_rank([(2, 4, 0), (0, -3, -3), (2, 1, -3), (0, 0, 0)]) == 2
-        with pytest.raises(AssertionError, match="Ray built"):
-            matrix_rank([(Fraction(1, 2), 1)])
+        assert matrix_rank([(Fraction(1, 2), 1)]) == 1
 
     def test_needs_only_the_standard_library(self):
         # The DD core runs on plain ints: a rank-5 enumeration in a fresh
