@@ -21,11 +21,8 @@ from typing import Iterator, Literal, Sequence
 from . import ranksets
 from .algebra import (
     Form,
-    convolve,
-    factor_once,
     leading_ones_factor,
     project,
-    shift,
     trailing_ones_factor,
 )
 from .intervals import (
@@ -298,36 +295,72 @@ class ExtremeReport:
         return frozenset(e.ray for e in self.rays)
 
 
+def _derived_rays(
+    n: int, lower: Sequence[ExtremeReport]
+) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], bool]]:
+    """The degree-(n+1) lifts and products of the lower reports' rays.
+
+    Works on the integer rays alone.  The lifts are the shift images of the
+    rays of the report of degree n: shifting by k inserts a zero bit at
+    position k in each coordinate index and keeps the values.  The products
+    pair a ray a of degree p with a ray b of degree n+1-p, the coordinate
+    s | 2^(p-1) | t << p getting a_s * b_t, as convolve does.  Each product
+    maps to True when _excluded_product rules out every pair reaching it.
+
+    Shifting keeps a primitive vector primitive, and so does the product
+    (content is multiplicative), so each ray is the canonical ray of the
+    form shift or convolve would build from the lower forms.
+    """
+    by_degree = {rep.n + 1: rep.rays for rep in lower}
+    lifts = set()
+    for entry in by_degree.get(n, ()):
+        for k in range(n):
+            low = (1 << k) - 1
+            vec = [0] * (1 << n)
+            for s, c in enumerate(entry.ray):
+                vec[(s & low) | ((s & ~low) << 1)] = c
+            lifts.add(tuple(vec))
+    products: dict[tuple[int, ...], bool] = {}
+    for p in range(1, n + 1):
+        junction = 1 << (p - 1)
+        for left in by_degree.get(p, ()):
+            a = [(s | junction, c) for s, c in enumerate(left.ray) if c]
+            for right in by_degree.get(n + 1 - p, ()):
+                vec = [0] * (1 << n)
+                for t, d in enumerate(right.ray):
+                    if d:
+                        high = t << p
+                        for s, c in a:
+                            vec[s | high] = c * d
+                ray = tuple(vec)
+                excluded = _excluded_product(left.form, right.form)
+                products[ray] = products.get(ray, True) and excluded
+    return lifts, products
+
+
+def _tag(ray: tuple[int, ...], n: int, products: dict[tuple[int, ...], bool]) -> Tag:
+    """`lift` when the support misses a letter of [1, n], else `convolution`
+    when the ray is a product ray, else `new`."""
+    union = 0
+    for s, c in enumerate(ray):
+        if c:
+            union |= s
+    if union != (1 << n) - 1:
+        return "lift"
+    return "convolution" if ray in products else "new"
+
+
 def classify(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
     """Provenance of an extreme form relative to lower-rank extreme lists.
 
     `lift` when the union of the support sets misses a letter (so the
-    compression drops the degree), else `convolution` when the form factors
-    and both factors are lower-rank extremes up to scaling, else `new`.
-    Factor matching tries the factorization as returned and with both
-    factors negated; the two flips cancel, so either joint assignment
-    reconstructs F.
+    compression drops the degree), else `convolution` when the form is a
+    positive multiple of the product of two lower-rank extreme rays of the
+    given reports, at any junction, else `new`.  The rule is the one
+    extreme_rays tags its rays by, over the products _derived_rays builds.
     """
-    union = 0
-    for s, _ in F.terms():
-        union |= s
-    if union != (1 << F.degree - 1) - 1:
-        return "lift"
-    split = factor_once(F)
-    if split is not None:
-        by_degree: dict[int, frozenset[tuple[int, ...]]] = {
-            rep.n + 1: rep.ray_set for rep in lower
-        }
-
-        def matches(G: Form) -> bool:
-            rays = by_degree.get(G.degree)
-            return rays is not None and form_to_ray(G).coords in rays
-
-        F1, F2 = split
-        for sign in (1, -1):
-            if matches(F1 * sign) and matches(F2 * sign):
-                return "convolution"
-    return "new"
+    n = F.degree - 1
+    return _tag(form_to_ray(F).coords, n, _derived_rays(n, lower)[1])
 
 
 @lru_cache(maxsize=None)
@@ -335,21 +368,23 @@ def extreme_rays(n: int) -> ExtremeReport:
     """All extreme rays of the degree-(n+1) cone, by double description.
 
     Each ray keeps its integer coordinates and the active facets dd_rays
-    read off its zero set, is converted to a form, and is classified
-    against the lower-rank reports.  Ambients up to 4 take well under a
-    second; n = 5 (rank 6) takes about 0.17 s on one 2.1 GHz x86-64 core
-    (perfbench enumerate-r6 solve_s, median of ten runs, BENCH_19.json).
-    Reports are cached per ambient.
+    read off its zero set, and is converted to a form.  Its tag comes from
+    the construction, by classify's rule: `lift` when its support misses a
+    letter, else `convolution` when it is a product of two lower-rank rays
+    (_derived_rays, excluded products included), else `new`.  Ambients up
+    to 4 take well under a second; n = 5 (rank 6) takes about 0.17 s on
+    one x86-64 core (perfbench enumerate-r6 solve_s, median of six runs,
+    BENCH_21.json).  Reports are cached per ambient.
     """
     if n > MAX_DD_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
     fs = facet_system(n)
     rays = dd_rays(fs.normal_matrix)
-    lower = tuple(extreme_rays(k) for k in range(n))
+    products = _derived_rays(n, tuple(extreme_rays(k) for k in range(n)))[1]
     entries = []
     for ray, active in rays:
-        F = ray_to_form(ray)
-        entries.append(ExtremeEntry(F, classify(F, lower), active, ray.coords))
+        tag = _tag(ray.coords, n, products)
+        entries.append(ExtremeEntry(ray_to_form(ray), tag, active, ray.coords))
     return ExtremeReport(n, tuple(entries))
 
 
@@ -367,13 +402,15 @@ def _excluded_product(F: Form, G: Form) -> bool:
 def generate_extremes(n: int) -> list[Form]:
     """Degree-(n+1) extremes derived by lifting and convolution.
 
-    Takes the complete extreme sets of every lower rank from extreme_rays,
-    lifts each rank-n form through every shift index, and convolves every
-    pair of lower-rank forms whose degrees sum to n + 1 unless
-    _excluded_product rules the pair out.  Candidates are deduplicated by
-    canonical ray (the first form reaching a ray is kept), those failing
-    the extremeness rank test of is_extreme, run on that ray, are dropped,
-    and the rest are reported in canonical ray order.
+    Takes the complete extreme sets of every lower rank from extreme_rays
+    and builds, on their integer rays (_derived_rays), each lift of a
+    rank-n ray through every shift index and each product of a pair of
+    lower-rank rays whose degrees sum to n + 1, skipping a product that
+    _excluded_product rules out for every pair reaching it.  The candidates
+    failing the extremeness rank test of is_extreme are dropped, and the
+    rest are reported as forms in canonical ray order.  Every candidate is
+    a primitive integer vector, so its form is the one shift or convolve
+    would build; no Form arithmetic and no canonicalize runs.
 
     The result is the derived subset of the top rank: what lifting and
     convolution alone reach.  It reads no provenance tags, so it does not
@@ -384,19 +421,9 @@ def generate_extremes(n: int) -> list[Form]:
     fs = facet_system(n)
     if n == 0:
         return [Form(1, {0: 1})]
-    full = [extreme_rays(k).forms for k in range(n)]
-    candidates: dict[tuple[int, ...], Form] = {}
-    for F in full[n - 1]:
-        for i in range(n):
-            lifted = shift(F, i)
-            candidates.setdefault(form_to_ray(lifted).coords, lifted)
-    for a in range(1, n + 1):
-        for F in full[a - 1]:
-            for G in full[n - a]:
-                if not _excluded_product(F, G):
-                    H = convolve(F, G)
-                    candidates.setdefault(form_to_ray(H).coords, H)
-    return [candidates[c] for c in sorted(candidates) if _is_extreme_ray(fs, c)]
+    lifts, products = _derived_rays(n, [extreme_rays(k) for k in range(n)])
+    candidates = lifts.union(ray for ray, excluded in products.items() if not excluded)
+    return [ray_to_form(Ray(c)) for c in sorted(candidates) if _is_extreme_ray(fs, c)]
 
 
 @dataclass(frozen=True)

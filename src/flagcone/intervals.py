@@ -77,7 +77,11 @@ class IntervalSystem:
 
     @classmethod
     def parse(cls, text: str, ambient_n: int) -> "IntervalSystem":
-        """Parse the literal syntax: "[1,2]+[2,3]" or "empty"."""
+        """Parse the literal syntax: "[1,2]+[2,3]" or "empty".
+
+        A malformed literal is reported whole, whichever of its `+`-separated
+        parts is at fault.
+        """
         s = text.strip()
         if s == "empty":
             return cls.empty(ambient_n)
@@ -87,7 +91,7 @@ class IntervalSystem:
             ends = [e.strip() for e in p[1:-1].split(",")]
             digits = all(e.isascii() and e.isdigit() for e in ends)
             if not (p.startswith("[") and p.endswith("]") and len(ends) == 2 and digits):
-                raise ValueError(f"bad interval literal {part!r}")
+                raise ValueError(f"bad interval literal {text!r}")
             ivs.append(Interval(int(ends[0]), int(ends[1])))
         return cls.of(ambient_n, ivs)
 

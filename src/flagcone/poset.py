@@ -312,14 +312,17 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
     one side is the wildcard.  Wildcards make the cover relation transitive
     across ranks because each interval is contiguous, and the flag numbers
     come out as N to the number of intervals the rank set meets.
+
+    Each element's up-covers are generated from its pattern: a coordinate
+    of the next rank is the wildcard outside its interval, fixed where the
+    element holds a value, and free in [1, N] where it holds the wildcard.
+    One product over those choices lists them in the next rank's order, so
+    no pair that is not a cover is ever tested.
     """
     n, N = spec.n, spec.N
     ivs = spec.intervals.intervals
     k = len(ivs)
-
-    def row(i: int) -> list[tuple]:
-        axes = [range(1, N + 1) if iv.lo <= i <= iv.hi else (None,) for iv in ivs]
-        return [tuple(p) for p in itertools.product(*axes)]
+    free = range(1, N + 1)
 
     def name(i: int, p: tuple) -> str:
         if k == 0:
@@ -327,19 +330,23 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
         body = ",".join("*" if v is None else str(v) for v in p)
         return f"({i};{body})"
 
-    elements: list[tuple[str, int]] = []
-    rows: list[list[tuple]] = []
+    # Per rank, each coordinate tuple and its element name, in product order.
+    levels: list[dict[tuple, str]] = []
     for i in range(n + 2):
-        r = row(i)
-        rows.append(r)
-        elements.extend((name(i, p), i) for p in r)
+        axes = [free if iv.lo <= i <= iv.hi else (None,) for iv in ivs]
+        levels.append({p: name(i, p) for p in itertools.product(*axes)})
+    elements = [(x, i) for i, level in enumerate(levels) for x in level.values()]
 
     covers: list[tuple[str, str]] = []
     for i in range(n + 1):
-        for p in rows[i]:
-            for q in rows[i + 1]:
-                if all(a is None or b is None or a == b for a, b in zip(p, q)):
-                    covers.append((name(i, p), name(i + 1, q)))
+        upper = levels[i + 1]
+        inside = [iv.lo <= i + 1 <= iv.hi for iv in ivs]
+        for p, x in levels[i].items():
+            axes = [
+                (None,) if not inn else free if a is None else (a,)
+                for a, inn in zip(p, inside)
+            ]
+            covers.extend((x, upper[q]) for q in itertools.product(*axes))
     return validate(elements, covers)
 
 

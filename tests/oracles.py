@@ -1,19 +1,27 @@
 """Test oracles: constructions the library itself does not need.
 
 random_graded_poset draws seeded posets for identity checks, order_closure
-is the poset order computed apart from GradedPoset.reach, h_form builds the
-h-basis forms the algebra tests are phrased in, and compress is the
-independent oracle for classify's lift rule.
+is the poset order computed apart from GradedPoset.reach, pairwise_witness
+builds the witness posets by testing every pair of adjacent-rank elements,
+h_form builds the
+h-basis forms the algebra tests are phrased in, compress is the
+independent oracle for classify's lift rule, and classify_by_factoring is
+the tagging rule read off the form by factoring it, which the library
+replaced with tags read off the construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 
+from typing import Sequence
+
 from flagcone import ranksets
-from flagcone.algebra import Form, ZeroForm
-from flagcone.poset import GradedPoset, validate
+from flagcone.algebra import Form, ZeroForm, factor_once
+from flagcone.cone import ExtremeReport, Tag, form_to_ray
+from flagcone.poset import GradedPoset, WitnessSpec, validate
 
 
 def random_graded_poset(rank: int, seed: int = 0) -> GradedPoset:
@@ -59,6 +67,34 @@ def order_closure(P: GradedPoset) -> set[tuple[str, str]]:
     return less
 
 
+def pairwise_witness(spec: WitnessSpec) -> tuple[list[str], list[tuple[str, str]]]:
+    """Element names and covers of P(n, I, N), straight from its definition.
+
+    Rank i holds one element per choice of a value in [1, N] for each
+    interval containing i, the other coordinates being the wildcard, in
+    lexicographic order of the values; every pair on adjacent ranks is
+    tested, and it is a cover when each coordinate agrees or one side is
+    the wildcard.
+    """
+    ivs = list(spec.intervals)
+    levels = []
+    for i in range(spec.n + 2):
+        axes = [range(1, spec.N + 1) if iv.lo <= i <= iv.hi else ["*"] for iv in ivs]
+        levels.append([
+            (f"({i};" + ",".join(map(str, p)) + ")" if ivs else f"({i})", p)
+            for p in itertools.product(*axes)
+        ])
+    elements = [x for level in levels for x, _ in level]
+    covers = [
+        (x, y)
+        for lower, upper in zip(levels, levels[1:])
+        for x, p in lower
+        for y, q in upper
+        if all(a == "*" or b == "*" or a == b for a, b in zip(p, q))
+    ]
+    return elements, covers
+
+
 def h_form(degree: int, i: int = 0) -> Form:
     """h_i = f_i - f_empty for i >= 1; h_0 denotes h_empty = f_empty."""
     if i == 0:
@@ -87,3 +123,33 @@ def compress(F: Form) -> Form:
             for s, c in F.terms()
         },
     )
+
+
+def classify_by_factoring(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
+    """Provenance of an extreme form, recovered from the form alone.
+
+    `lift` when the union of the support sets misses a letter, else
+    `convolution` when factor_once splits the form at its smallest junction
+    and both factors are lower-rank extremes up to scaling, else `new`.
+    Factor matching tries the factorization as returned and with both
+    factors negated; the two flips cancel, so either joint assignment
+    reconstructs F.
+    """
+    union = 0
+    for s, _ in F.terms():
+        union |= s
+    if union != (1 << F.degree - 1) - 1:
+        return "lift"
+    split = factor_once(F)
+    if split is not None:
+        by_degree = {rep.n + 1: rep.ray_set for rep in lower}
+
+        def matches(G: Form) -> bool:
+            rays = by_degree.get(G.degree)
+            return rays is not None and form_to_ray(G).coords in rays
+
+        F1, F2 = split
+        for sign in (1, -1):
+            if matches(F1 * sign) and matches(F2 * sign):
+                return "convolution"
+    return "new"

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcone import cone, polyhedra, ranksets
+from flagcone import algebra, cone, polyhedra, ranksets
 from flagcone.algebra import (
     Form, convolve, eval_poset, reflect, shift,
 )
@@ -34,7 +34,7 @@ from flagcone.intervals import (
 from flagcone.polyhedra import dd_rays, matrix_rank
 from flagcone.poset import flag_number, flag_vector, witness_poset
 
-from oracles import compress, h_form, random_graded_poset
+from oracles import classify_by_factoring, compress, h_form, random_graded_poset
 
 
 def M(*elems: int) -> int:
@@ -497,9 +497,38 @@ class TestClassify:
         assert 0 < lifts < len(forms)
 
     def test_convolution_with_negated_factors(self):
-        # factor_once normalizes so both factors come out negated here
+        # factoring normalizes so both factors come out negated here; the
+        # product ray is the same either way
         F = convolve(h_form(2, 1), h_form(2, 1))
         assert classify(F, [extreme_rays(k) for k in range(3)]) == "convolution"
+
+    def test_positive_multiple_of_product(self):
+        lower = [extreme_rays(k) for k in range(3)]
+        F = convolve(h_form(2, 1), h_form(2, 1))
+        assert classify(F * Fraction(3, 2), lower) == "convolution"
+        assert classify(-F, lower) == "new"
+
+    def test_convolution_needs_given_reports(self):
+        # a product is a convolution only relative to reports holding both
+        # factors' degrees
+        F = convolve(h_form(2, 1), h_form(2, 1))
+        assert classify(F, [extreme_rays(0), extreme_rays(2)]) == "new"
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_tags_agree_with_factoring(self, n):
+        # The tags read off the construction agree with the old rule that
+        # factors each form, on every ray of ranks 1 to 6.
+        lower = [extreme_rays(k) for k in range(n)]
+        for entry in extreme_rays(n).rays:
+            assert entry.tag == classify_by_factoring(entry.form, lower)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_tags_agree_with_report(self, n):
+        # classify builds the products of the reports it is given on each
+        # call, so rank 6 is left to the test above.
+        lower = [extreme_rays(k) for k in range(n)]
+        for entry in extreme_rays(n).rays:
+            assert entry.tag == classify(entry.form, lower)
 
 
 class TestGenerateExtremes:
@@ -533,37 +562,40 @@ class TestGenerateExtremes:
                 assert is_extreme(F)
 
     def test_reads_no_tags(self, monkeypatch):
-        # Every lower-rank ray is lifted and convolved whatever classify
-        # tags it, so tagging every ray "lift" changes nothing.
+        # Every lower-rank ray is lifted and convolved whatever its tag, so
+        # tagging every ray "lift" changes nothing.
         expected = [repr(F) for F in generate_extremes(4)]
-        monkeypatch.setattr(cone, "classify", lambda F, lower: "lift")
+        monkeypatch.setattr(cone, "_tag", lambda ray, n, products: "lift")
         extreme_rays.cache_clear()
         try:
             assert [repr(F) for F in generate_extremes(4)] == expected
         finally:
             extreme_rays.cache_clear()
 
-    def test_canonicalizes_each_candidate_once(self, monkeypatch):
-        # Each lift and each non-excluded product is canonicalized once, for
-        # its dedup key; the extremeness test reuses that key.  The forms
-        # are pinned by the SHA-256 of their reprs.
+    def test_builds_candidates_as_integer_rays(self, monkeypatch):
+        # Each lift and product is built on the lower ranks' integer rays,
+        # so no Form arithmetic and no canonicalize runs.  The forms are
+        # pinned by the SHA-256 of their reprs.
         for k in range(4):
             extreme_rays(k)
-        built = []
-        canonical = []
-        for name in ("shift", "convolve", "canonicalize"):
-            real = getattr(cone, name)
-            log = canonical if name == "canonicalize" else built
 
-            def spy(*args, real=real, log=log):
-                log.append(None)
-                return real(*args)
+        def boom(*args):
+            raise AssertionError("generate_extremes built a form or canonicalized")
 
-            monkeypatch.setattr(cone, name, spy)
+        # every module that could hold one of the names, imported or not
+        for module in (algebra, polyhedra, cone):
+            for name in ("shift", "convolve", "canonicalize"):
+                monkeypatch.setattr(module, name, boom, raising=False)
         forms = generate_extremes(4)
-        assert len(built) == len(canonical) > len(forms) == 34
+        assert len(forms) == 34
         assert hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest() == (
             "d1277161e866f1552ede1305741e9cf3c0b6a7a0c604e4eb9d1915b1b761582b")
+
+    def test_rank6_digest(self):
+        forms = generate_extremes(5)
+        assert len(forms) == 137
+        assert hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest() == (
+            "fcdb65b55e384d0173f8bed71a972370793ea9102c2f626e611f3c80bb2e3c6f")
 
     def test_ambient_out_of_range(self, monkeypatch):
         # A bad ambient raises a ValueError subclass, as every other entry

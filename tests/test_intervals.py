@@ -93,11 +93,13 @@ class TestInterval:
         assert str(IntervalSystem.empty(5)) == "empty"
 
     @pytest.mark.parametrize(
-        "text", ["[1,2,3]", "[1]", "[1,]", "[1_0,12]", "[\u0661,2]", "[-1,2]"]
+        "text", ["[1,2,3]", "[1]", "[1,]", "[1_0,12]", "[\u0661,2]", "[-1,2]",
+                 "[+1,2]", "[1,2]+", "+[1,2]", "[1,2]+[2,+3]"]
     )
     def test_parse_rejects_bad_literal(self, text):
         # Only ASCII digits: int() alone would read "1_0" as 10 and an
-        # Arabic-Indic one as 1.
+        # Arabic-Indic one as 1.  The message names the whole literal, not
+        # the `+`-separated part at fault.
         with pytest.raises(ValueError, match=re.escape(f"bad interval literal {text!r}")):
             IntervalSystem.parse(text, 3)
 

@@ -31,7 +31,7 @@ from flagcone.poset import (
     witness_poset,
 )
 
-from oracles import order_closure, random_graded_poset
+from oracles import order_closure, pairwise_witness, random_graded_poset
 
 DIAMOND = (
     [("0", 0), ("a", 1), ("b", 1), ("1", 2)],
@@ -223,6 +223,26 @@ class TestWitness:
         P = witness_poset(spec)
         for mask in range(8):
             assert flag_number(P, mask) == spec.predicted_flag_number(mask)
+
+    @pytest.mark.parametrize("n, intervals, N", [
+        (3, "[1,2]+[2,3]", 1),
+        (3, "empty", 3),
+        (1, "empty", 1),
+        (1, "[1,1]", 3),
+        (3, "[1,2]+[2,3]", 3),
+        (4, "[1,4]+[2,3]", 2),
+        (4, "[1,2]+[2,3]+[3,4]", 2),
+        (4, "[1,1]+[3,4]", 3),
+        (2, "[1,2]+[1,1]", 4),
+    ])
+    def test_covers_match_pairwise_rule(self, n, intervals, N):
+        # Covers generated from each element's pattern are the pairs the
+        # definition joins, in the same order.
+        spec = WitnessSpec(n, IntervalSystem.parse(intervals, n), N)
+        P = witness_poset(spec)
+        elements, covers = pairwise_witness(spec)
+        assert P.elements == tuple(elements)
+        assert P.covers == tuple(covers)
 
     def test_overlapping_and_nested(self):
         # nested intervals exercise independent coordinates
