@@ -338,14 +338,14 @@ def _derived_rays(
     return lifts, products
 
 
-def _tag(ray: tuple[int, ...], n: int, products: dict[tuple[int, ...], bool]) -> Tag:
-    """`lift` when the support misses a letter of [1, n], else `convolution`
-    when the ray is a product ray, else `new`."""
+def _tag(ray: tuple[int, ...], products: dict[tuple[int, ...], bool]) -> Tag:
+    """`lift` when the support misses a letter, else `convolution` when the
+    ray is a product ray, else `new`."""
     union = 0
     for s, c in enumerate(ray):
         if c:
             union |= s
-    if union != (1 << n) - 1:
+    if union != len(ray) - 1:
         return "lift"
     return "convolution" if ray in products else "new"
 
@@ -359,8 +359,7 @@ def classify(F: Form, lower: Sequence[ExtremeReport]) -> Tag:
     given reports, at any junction, else `new`.  The rule is the one
     extreme_rays tags its rays by, over the products _derived_rays builds.
     """
-    n = F.degree - 1
-    return _tag(form_to_ray(F).coords, n, _derived_rays(n, lower)[1])
+    return _tag(form_to_ray(F).coords, _derived_rays(F.degree - 1, lower)[1])
 
 
 @lru_cache(maxsize=None)
@@ -380,10 +379,10 @@ def extreme_rays(n: int) -> ExtremeReport:
         raise AmbientTooLarge(f"ambient {n} > {MAX_DD_AMBIENT}")
     fs = facet_system(n)
     rays = dd_rays(fs.normal_matrix)
-    products = _derived_rays(n, tuple(extreme_rays(k) for k in range(n)))[1]
+    products = _derived_rays(n, [extreme_rays(k) for k in range(n)])[1]
     entries = []
     for ray, active in rays:
-        tag = _tag(ray.coords, n, products)
+        tag = _tag(ray.coords, products)
         entries.append(ExtremeEntry(ray_to_form(ray), tag, active, ray.coords))
     return ExtremeReport(n, tuple(entries))
 

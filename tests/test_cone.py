@@ -565,7 +565,7 @@ class TestGenerateExtremes:
         # Every lower-rank ray is lifted and convolved whatever its tag, so
         # tagging every ray "lift" changes nothing.
         expected = [repr(F) for F in generate_extremes(4)]
-        monkeypatch.setattr(cone, "_tag", lambda ray, n, products: "lift")
+        monkeypatch.setattr(cone, "_tag", lambda ray, products: "lift")
         extreme_rays.cache_clear()
         try:
             assert [repr(F) for F in generate_extremes(4)] == expected
