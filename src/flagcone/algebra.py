@@ -12,6 +12,7 @@ Degree-0 values are bare scalars (Fraction), never Form objects.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,11 +37,6 @@ class ZeroForm(ValueError):
 # One Fraction object per small integer, for coefficients built in bulk:
 # the extreme forms' coefficients are mostly +1 and -1.
 _SMALL_INTEGERS = {k: Fraction(k) for k in range(-16, 17)}
-
-
-def _shared(c: Fraction) -> Fraction:
-    """c, or the equal Fraction of _SMALL_INTEGERS when there is one."""
-    return _SMALL_INTEGERS.get(c, c)
 
 
 class Form:
@@ -82,21 +78,12 @@ class Form:
         # range, so nothing of __init__ but the Fraction conversion applies;
         # small integral coordinates share the Fractions of _SMALL_INTEGERS.
         small = _SMALL_INTEGERS.get
-        return cls._trusted(
-            degree, {m: small(c) or Fraction(c) for m, c in enumerate(vec) if c}
-        )
-
-    @classmethod
-    def _trusted(cls, degree: int, coeffs: dict[int, Fraction]) -> "Form":
-        """A form holding `coeffs` as given, without __init__'s checks.
-
-        The caller guarantees what __init__ would establish: the masks are
-        distinct, ascending and in range for `degree`, and every value is a
-        nonzero Fraction.
-        """
         form = object.__new__(cls)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "_coeffs", coeffs)
+        object.__setattr__(
+            form, "_coeffs",
+            {m: small(c) or Fraction(c) for m, c in enumerate(vec) if c},
+        )
         return form
 
     # -- inspection ----------------------------------------------------------
@@ -177,11 +164,37 @@ class Form:
 # -- convolution and friends -------------------------------------------------
 
 
+def _shift_vector(vec: Sequence[Scalar], k: int) -> list[Scalar]:
+    """The coefficient vector of a shift at k: a zero bit inserted at
+    position k into every index, the values kept, the new slots 0."""
+    low = (1 << k) - 1
+    out: list[Scalar] = [0] * (2 * len(vec))
+    for s, c in enumerate(vec):
+        out[(s & low) | ((s & ~low) << 1)] = c
+    return out
+
+
+def _product_vector(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+    """The coefficient vector of a product: index s | len(a) | t << p, with
+    p = len(a).bit_length(), gets a_s * b_t; the other slots are 0."""
+    junction = len(a)
+    p = junction.bit_length()
+    left = [(s | junction, c) for s, c in enumerate(a) if c]
+    out: list[Scalar] = [0] * (2 * len(a) * len(b))
+    for t, d in enumerate(b):
+        if d:
+            high = t << p
+            for s, c in left:
+                out[s | high] = c * d
+    return out
+
+
 def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
     """Product of forms: junction letter inserted between the two supports.
 
-    On basis symbols: f(m)_S * f(n)_T = f(m+n) on S U {m} U (T + m).
-    Scalars act as degree-0 forms, i.e. by scaling.
+    On basis symbols: f(m)_S * f(n)_T = f(m+n) on S U {m} U (T + m), which
+    on coefficient vectors is _product_vector.  Scalars act as degree-0
+    forms, i.e. by scaling.
     """
     if not isinstance(F, Form) and not isinstance(G, Form):
         return Fraction(F) * Fraction(G)
@@ -189,17 +202,9 @@ def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
         return G * F
     if not isinstance(G, Form):
         return F * G
-    m = F.degree
-    junction = 1 << (m - 1)
-    # S sits below the junction letter and T + m above it, so each pair of
-    # terms gives its own mask, and with T in the outer loop the masks
-    # ascend.  Products of nonzero coefficients are nonzero; small integral
-    # ones share one Fraction object each.
-    return Form._trusted(m + G.degree, {
-        s | junction | (t << m): _shared(a * b)
-        for t, b in G.terms()
-        for s, a in F.terms()
-    })
+    return Form.from_vector(
+        F.degree + G.degree, _product_vector(F.vector(), G.vector())
+    )
 
 
 def shift(F: Form, k: int) -> Form:
@@ -207,19 +212,13 @@ def shift(F: Form, k: int) -> Form:
 
     The image never uses letter k+1, and shifting preserves extremeness in
     the nonnegativity cones.  k may be 0 (shift every letter up) through
-    n = degree - 1 (append an unused top slot).
+    n = degree - 1 (append an unused top slot).  On coefficient vectors it
+    is _shift_vector.
     """
     n = F.degree - 1
     if not (0 <= k <= n):
         raise BadShiftIndex(f"k = {k} outside [0, {n}]")
-    low = (1 << k) - 1
-    # Inserting a zero bit at position k is strictly increasing on masks, so
-    # the image masks stay distinct, ascending and in range, and F's nonzero
-    # Fraction coefficients carry over as they are.
-    return Form._trusted(
-        F.degree + 1,
-        {(s & low) | ((s & ~low) << 1): c for s, c in F.terms()},
-    )
+    return Form.from_vector(F.degree + 1, _shift_vector(F.vector(), k))
 
 
 def project(F: Form, m: int) -> Form | Fraction:
@@ -276,62 +275,7 @@ def reflect(F: Form) -> Form:
     )
 
 
-# -- support and factorization ----------------------------------------------
-
-
-def largest_letter(F: Form) -> int:
-    """Largest letter used by any support set; 0 when only f_empty occurs."""
-    if F.is_zero:
-        raise ZeroForm("largest_letter of the zero form")
-    acc = 0
-    for s in F.support:
-        acc |= s
-    return acc.bit_length()
-
-
-def smallest_letter(F: Form) -> int:
-    """Smallest letter used by any support set; 0 when f_empty occurs."""
-    if F.is_zero:
-        raise ZeroForm("smallest_letter of the zero form")
-    if 0 in F.support:
-        return 0
-    acc = 0
-    for s in F.support:
-        acc |= s & -s
-    return (acc & -acc).bit_length()
-
-
-def trailing_ones_factor(F: Form) -> tuple[Form | Fraction, int]:
-    """Split F = F' * f(k)_empty with k maximal; k = 0 returns F itself.
-
-    f_empty evaluates to 1 on every poset, so trailing factors of it are
-    invisible to evaluation on the lower interval.  The split exists exactly
-    when every support set has the same largest letter; a form supported on
-    the empty set alone is (coefficient, degree).
-    """
-    if F.is_zero:
-        raise ZeroForm("factoring the zero form")
-    maxes = {s.bit_length() for s in F.support}
-    if len(maxes) != 1:
-        return F, 0
-    m = maxes.pop()
-    if m == 0:
-        return F.coeff(0), F.degree
-    strip = ~(1 << (m - 1))
-    return Form(m, {s & strip: c for s, c in F.terms()}), F.degree - m
-
-
-def leading_ones_factor(F: Form) -> tuple[Form | Fraction, int]:
-    """Split F = f(k)_empty * F' with k maximal; mirror of the trailing case."""
-    if F.is_zero:
-        raise ZeroForm("factoring the zero form")
-    if F.support == frozenset({0}):
-        return F.coeff(0), F.degree
-    mins = {(s & -s).bit_length() for s in F.support}
-    if len(mins) != 1 or 0 in F.support:
-        return F, 0
-    k = mins.pop()
-    return Form(F.degree - k, {s >> k: c for s, c in F.terms()}), k
+# -- factorization -----------------------------------------------------------
 
 
 def factor_once(F: Form) -> tuple[Form, Form] | None:
@@ -454,9 +398,14 @@ def render_terms(letter: str, terms: Iterable[tuple[int, Scalar]]) -> str:
     return " ".join(parts)
 
 
+# Matched here, not left to int() or Fraction(), whose grammar differs
+# between Python versions.
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_form(text: str) -> Form:
-    """Parse the form text format: integer or num/den coefficients, at most
-    one term line per rank set."""
+    """Parse the form text format: ASCII integer or num/den coefficients, at
+    most one term line per rank set."""
     degree = None
     coeffs: dict[int, Fraction] = {}
     for raw in text.splitlines():
@@ -467,13 +416,14 @@ def parse_form(text: str) -> Form:
         if parts[0] == "form":
             if degree is not None:
                 raise ValueError("repeated form header")
-            if len(parts) != 2 or not parts[1].startswith("rank="):
+            rank = re.fullmatch(r"rank=([0-9]+)", " ".join(parts[1:]))
+            if rank is None:
                 raise ValueError(f"bad header {raw!r}")
-            degree = int(parts[1][len("rank="):])
+            degree = int(rank[1])
         else:
             if degree is None:
                 raise ValueError("term before form header")
-            if len(parts) != 2:
+            if len(parts) != 2 or not _COEFFICIENT.fullmatch(parts[1]):
                 raise ValueError(f"bad term line {raw!r}")
             mask = ranksets.parse(parts[0])
             if mask in coeffs:

@@ -19,12 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Literal, Sequence
 
 from . import ranksets
-from .algebra import (
-    Form,
-    leading_ones_factor,
-    project,
-    trailing_ones_factor,
-)
+from .algebra import Form, _product_vector, _shift_vector, project
 from .intervals import (
     AmbientTooLarge,
     IntervalSystem,
@@ -295,46 +290,47 @@ class ExtremeReport:
         return frozenset(e.ray for e in self.rays)
 
 
+def _ends_in_ones(ray: Sequence[Scalar]) -> bool:
+    """Does the form factor as F' * f_empty: do its support sets share one
+    top letter?"""
+    return len({s.bit_length() for s, c in enumerate(ray) if c}) == 1
+
+
+def _starts_with_ones(ray: Sequence[Scalar]) -> bool:
+    """Does the form factor as f_empty * F': do its support sets share one
+    lowest letter (that of the empty set being 0)?"""
+    return len({(s & -s).bit_length() for s, c in enumerate(ray) if c}) == 1
+
+
 def _derived_rays(
     n: int, lower: Sequence[ExtremeReport]
 ) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], bool]]:
     """The degree-(n+1) lifts and products of the lower reports' rays.
 
-    Works on the integer rays alone.  The lifts are the shift images of the
-    rays of the report of degree n: shifting by k inserts a zero bit at
-    position k in each coordinate index and keeps the values.  The products
-    pair a ray a of degree p with a ray b of degree n+1-p, the coordinate
-    s | 2^(p-1) | t << p getting a_s * b_t, as convolve does.  Each product
-    maps to True when _excluded_product rules out every pair reaching it.
+    Reads the integer rays (ExtremeEntry.ray) alone.  The lifts are the
+    shift images of the rays of the report of degree n, through every
+    shift index; the products pair a ray of degree p with one of degree
+    n+1-p.  Both are built by the vector routines shift and convolve use.
+    Each product maps to True when every pair reaching it is excluded: a
+    left factor ending in a ones form times a right factor starting with
+    one.
 
     Shifting keeps a primitive vector primitive, and so does the product
     (content is multiplicative), so each ray is the canonical ray of the
     form shift or convolve would build from the lower forms.
     """
-    by_degree = {rep.n + 1: rep.rays for rep in lower}
-    lifts = set()
-    for entry in by_degree.get(n, ()):
-        for k in range(n):
-            low = (1 << k) - 1
-            vec = [0] * (1 << n)
-            for s, c in enumerate(entry.ray):
-                vec[(s & low) | ((s & ~low) << 1)] = c
-            lifts.add(tuple(vec))
+    rays = {rep.n + 1: [e.ray for e in rep.rays] for rep in lower}
+    lifts = {tuple(_shift_vector(a, k)) for a in rays.get(n, ()) for k in range(n)}
     products: dict[tuple[int, ...], bool] = {}
     for p in range(1, n + 1):
-        junction = 1 << (p - 1)
-        for left in by_degree.get(p, ()):
-            a = [(s | junction, c) for s, c in enumerate(left.ray) if c]
-            for right in by_degree.get(n + 1 - p, ()):
-                vec = [0] * (1 << n)
-                for t, d in enumerate(right.ray):
-                    if d:
-                        high = t << p
-                        for s, c in a:
-                            vec[s | high] = c * d
-                ray = tuple(vec)
-                excluded = _excluded_product(left.form, right.form)
-                products[ray] = products.get(ray, True) and excluded
+        # Ones-ending times ones-starting products need not be extreme
+        # (ones by ones never is), so generate_extremes skips them.
+        rights = [(b, _starts_with_ones(b)) for b in rays.get(n + 1 - p, ())]
+        for a in rays.get(p, ()):
+            left_ones = _ends_in_ones(a)
+            for b, right_ones in rights:
+                ray = tuple(_product_vector(a, b))
+                products[ray] = products.get(ray, True) and left_ones and right_ones
     return lifts, products
 
 
@@ -387,17 +383,6 @@ def extreme_rays(n: int) -> ExtremeReport:
     return ExtremeReport(n, tuple(entries))
 
 
-def _excluded_product(F: Form, G: Form) -> bool:
-    """The one convolution family not guaranteed extreme.
-
-    Products where the left factor ends in a ones form and the right factor
-    starts with one need not be extreme (the ones-by-ones product never is),
-    so generation skips them; if such a product is extreme after all, only
-    the double description run discovers it.
-    """
-    return trailing_ones_factor(F)[1] >= 1 and leading_ones_factor(G)[1] >= 1
-
-
 def generate_extremes(n: int) -> list[Form]:
     """Degree-(n+1) extremes derived by lifting and convolution.
 
@@ -405,7 +390,9 @@ def generate_extremes(n: int) -> list[Form]:
     and builds, on their integer rays (_derived_rays), each lift of a
     rank-n ray through every shift index and each product of a pair of
     lower-rank rays whose degrees sum to n + 1, skipping a product that
-    _excluded_product rules out for every pair reaching it.  The candidates
+    every pair reaching it leaves excluded (a left factor ending in a ones
+    form times a right factor starting with one; if such a product is
+    extreme after all, only extreme_rays finds it).  The candidates
     failing the extremeness rank test of is_extreme are dropped, and the
     rest are reported as forms in canonical ray order.  Every candidate is
     a primitive integer vector, so its form is the one shift or convolve

@@ -16,6 +16,7 @@ class F_S exactly when S blocks I_C.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -487,11 +488,12 @@ def parse_poset(text: str) -> GradedPoset:
         if parts[0] == "poset":
             if header is not None:
                 raise ValueError("repeated poset header")
-            if len(parts) != 2 or not parts[1].startswith("rank="):
+            rank = re.fullmatch(r"rank=([0-9]+)", " ".join(parts[1:]))
+            if rank is None:
                 raise ValueError(f"bad header {raw!r}")
-            header = int(parts[1][len("rank="):])
+            header = int(rank[1])
         elif parts[0] == "elem":
-            if len(parts) != 3:
+            if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
                 raise ValueError(f"bad elem line {raw!r}")
             elements.append((parts[1], int(parts[2])))
         elif parts[0] == "cover":

@@ -8,7 +8,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run slow cone computations (rank 6)",
+        help="run the slow tests: rank-6 CLI digests, the K = 200 rank-7 frontier",
     )
 
 

@@ -7,7 +7,9 @@ h_form builds the
 h-basis forms the algebra tests are phrased in, compress is the
 independent oracle for classify's lift rule, and classify_by_factoring is
 the tagging rule read off the form by factoring it, which the library
-replaced with tags read off the construction.
+replaced with tags read off the construction.  trailing_ones_factor and
+leading_ones_factor split off ones forms by factoring; the library reads
+the same convolution exclusion off the integer rays instead.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 from typing import Sequence
 
@@ -123,6 +126,38 @@ def compress(F: Form) -> Form:
             for s, c in F.terms()
         },
     )
+
+
+def trailing_ones_factor(F: Form) -> tuple[Form | Fraction, int]:
+    """Split F = F' * f(k)_empty with k maximal; k = 0 returns F itself.
+
+    The split exists exactly when every support set has the same largest
+    letter; a form supported on the empty set alone is (coefficient,
+    degree).
+    """
+    if F.is_zero:
+        raise ZeroForm("factoring the zero form")
+    maxes = {s.bit_length() for s in F.support}
+    if len(maxes) != 1:
+        return F, 0
+    m = maxes.pop()
+    if m == 0:
+        return F.coeff(0), F.degree
+    strip = ~(1 << (m - 1))
+    return Form(m, {s & strip: c for s, c in F.terms()}), F.degree - m
+
+
+def leading_ones_factor(F: Form) -> tuple[Form | Fraction, int]:
+    """Split F = f(k)_empty * F' with k maximal; mirror of the trailing case."""
+    if F.is_zero:
+        raise ZeroForm("factoring the zero form")
+    if F.support == frozenset({0}):
+        return F.coeff(0), F.degree
+    mins = {(s & -s).bit_length() for s in F.support}
+    if len(mins) != 1 or 0 in F.support:
+        return F, 0
+    k = mins.pop()
+    return Form(F.degree - k, {s >> k: c for s, c in F.terms()}), k
 
 
 def classify_by_factoring(F: Form, lower: Sequence[ExtremeReport]) -> Tag:

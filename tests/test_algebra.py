@@ -14,13 +14,10 @@ from flagcone.algebra import (
     BadShiftIndex,
     DegreeMismatch,
     Form,
-    ZeroForm,
     convolve,
     eval_poset,
     eval_system,
     factor_once,
-    largest_letter,
-    leading_ones_factor,
     limit_check,
     parse_form,
     prefix_restriction,
@@ -28,9 +25,7 @@ from flagcone.algebra import (
     reflect,
     render_terms,
     shift,
-    smallest_letter,
     to_h_coeffs,
-    trailing_ones_factor,
 )
 from flagcone.intervals import IntervalSystem
 from flagcone.poset import (
@@ -220,10 +215,10 @@ class TestConvolve:
         assert convolve(a, b + c) == convolve(a, b) + convolve(a, c)
 
     def test_matches_constructor(self):
-        # convolve builds its coefficients without Form.__init__; on every
-        # pair of extreme forms up to rank 5, and on random forms with
-        # fractional coefficients, it must give the form the constructor
-        # gives from the basis rule.
+        # convolve works on dense coefficient vectors; on every pair of
+        # extreme forms up to rank 5, and on random forms with fractional
+        # coefficients, it must give the form the constructor gives from
+        # the basis rule.
         from flagcone.cone import extreme_rays
 
         rng = random.Random(3)
@@ -289,10 +284,10 @@ class TestShift:
             assert not (s >> k) & 1
 
     def test_matches_constructor_on_extreme_forms(self):
-        # shift builds its coefficients without Form.__init__; on every
-        # extreme form of rank <= 5 and every index it must give the form
-        # the constructor gives, letter by letter: j <= k stays, j > k moves
-        # to j + 1.
+        # shift works on dense coefficient vectors; on every extreme form
+        # of rank <= 5 and every index it must give the form the
+        # constructor gives, letter by letter: j <= k stays, j > k moves to
+        # j + 1.
         from flagcone.cone import extreme_rays
 
         checked = 0
@@ -383,33 +378,6 @@ class TestReflect:
 
 
 class TestSupportAndFactors:
-    def test_letters(self):
-        F = Form(4, {M(1, 3): 1, M(2): -1})
-        assert largest_letter(F) == 3
-        assert smallest_letter(F) == 1
-        assert largest_letter(f(4, 0)) == 0
-        assert smallest_letter(Form(4, {0: 1, M(2): 1})) == 0
-        with pytest.raises(ZeroForm):
-            largest_letter(Form(3))
-
-    def test_trailing_ones(self):
-        F1, k = trailing_ones_factor(f(4, M(1, 3)))
-        assert (F1, k) == (f(3, M(1)), 1)
-        assert convolve(F1, f(1, 0)) == f(4, M(1, 3))
-        F2, k2 = trailing_ones_factor(f(3, 0) * 7)
-        assert (F2, k2) == (7, 3)
-        F3, k3 = trailing_ones_factor(SPORADIC_RANK4)
-        assert k3 == 0 and F3 is SPORADIC_RANK4
-
-    def test_leading_ones(self):
-        F1, k = leading_ones_factor(Form(4, {M(2, 3): 1, M(2): -1}))
-        assert k == 2
-        assert F1 == Form(2, {M(1): 1, 0: -1})
-        F2, k2 = leading_ones_factor(f(3, 0) * 7)
-        assert (F2, k2) == (7, 3)
-        F3, k3 = leading_ones_factor(SPORADIC_RANK4)
-        assert k3 == 0
-
     def test_compress(self):
         F = Form(4, {M(1, 3): 1, M(3): -1})
         assert compress(F) == Form(3, {M(1, 2): 1, M(2): -1})
@@ -556,6 +524,28 @@ class TestTextFormat:
             parse_form("{1} 2\n")
         with pytest.raises(ValueError):
             parse_form("form rank=3\nnonsense\n")
+
+    @pytest.mark.parametrize("header", [
+        "form rank=+0_4", "form rank=\u0664", "form rank=+4", "form rank=-1",
+        "form rank= 4", "form rank=4 4", "form",
+    ])
+    def test_header_rank_is_ascii_digits(self, header):
+        # int() would read the first two as rank 4.
+        with pytest.raises(ValueError, match=re.escape(f"bad header {header!r}")):
+            parse_form(f"{header}\n{{1}} 1\n")
+
+    @pytest.mark.parametrize("coeff", [
+        "1_000", "1.5", "1e3", "1/2/3", "1/-2", "\u0663", "inf", "nan", "+-1", "",
+    ])
+    def test_coefficient_grammar(self, coeff):
+        # Only [+-]digits and [+-]digits/digits, the same on every Python.
+        line = f'"{{1,3}}" {coeff}'.rstrip()
+        with pytest.raises(ValueError, match=re.escape(f"bad term line {line!r}")):
+            parse_form(f"form rank=4\n{line}\n")
+
+    def test_signed_and_fractional_coefficients(self):
+        F = parse_form("form rank=4\n{1} +3\n{2} -0\n{3} -12/08\n")
+        assert F == Form(4, {M(1): 3, M(3): Fraction(-3, 2)})
 
     @pytest.mark.parametrize("terms", ['"{1}" 1\n"{1}" 1', '{1,2} 1\n"{2,1}" -1'])
     def test_repeated_term_line_rejected(self, terms):

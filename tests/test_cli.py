@@ -263,6 +263,24 @@ class TestCheck:
             "", "error: repeated term line '\"{1}\" 1'\n"
         )
 
+    @pytest.mark.parametrize("text, message", [
+        ("form rank=+0_4\n{1} 1\n", "bad header 'form rank=+0_4'"),
+        ("form rank=\u0664\n{1} 1\n", "bad header 'form rank=\u0664'"),
+        ("form rank=4\n{1} 1_000\n", "bad term line '{1} 1_000'"),
+        ("form rank=4\n{1} 0.5\n", "bad term line '{1} 0.5'"),
+    ])
+    def test_non_ascii_integer_in_form_file_is_error(self, capsys, tmp_path, text, message):
+        # These used to read as rank 4 or as 1000 and 1/2, depending on the
+        # Python version.
+        path = write(tmp_path / "odd.form", text)
+        assert main(["check", "--rank", "4", "--form", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_non_ascii_elem_rank_is_error(self, capsys, tmp_path):
+        path = write(tmp_path / "odd.poset", "poset rank=2\nelem a 0\nelem c 0_2\n")
+        assert main(["fvector", "--poset", path]) == 2
+        assert capsys.readouterr() == ("", "error: bad elem line 'elem c 0_2'\n")
+
     def test_repeated_rank_in_form_file_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "twice.form", 'form rank=3\n"{1,1}" 1\n')
         assert main(["check", "--rank", "3", "--form", path]) == 2

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcone import algebra, cone, polyhedra, ranksets
 from flagcone.algebra import (
@@ -34,7 +36,10 @@ from flagcone.intervals import (
 from flagcone.polyhedra import dd_rays, matrix_rank
 from flagcone.poset import flag_number, flag_vector, witness_poset
 
-from oracles import classify_by_factoring, compress, h_form, random_graded_poset
+from oracles import (
+    classify_by_factoring, compress, h_form, leading_ones_factor,
+    random_graded_poset, trailing_ones_factor,
+)
 
 
 def M(*elems: int) -> int:
@@ -359,10 +364,15 @@ class TestIsExtremeExact:
         assert all(type(x) is int for vec in swept for x in vec)
 
 
+def excluded_pair(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """The exclusion rule of _derived_rays on one ordered pair of rays."""
+    return cone._ends_in_ones(left) and cone._starts_with_ones(right)
+
+
 class TestConvolutionTheorem:
     # Convolution assigns extreme rays to pairs of extreme rays except for
-    # the family _excluded_product names; shifting keeps every ray extreme.
-    # Both are read off extreme_rays(n).ray_set, the double description.
+    # the family excluded_pair names; shifting keeps every ray extreme.  Both
+    # are read off extreme_rays(n).ray_set, the double description.
 
     @pytest.mark.parametrize(
         "n, kept, excluded",
@@ -373,16 +383,55 @@ class TestConvolutionTheorem:
         rays = extreme_rays(n).ray_set
         inside = {True: [], False: []}
         for a in range(1, n + 1):
-            for F in extreme_rays(a - 1).forms:
-                for G in extreme_rays(n - a).forms:
-                    H = convolve(F, G)
-                    inside[cone._excluded_product(F, G)].append(
+            for left in extreme_rays(a - 1).rays:
+                for right in extreme_rays(n - a).rays:
+                    H = convolve(left.form, right.form)
+                    inside[excluded_pair(left.ray, right.ray)].append(
                         form_to_ray(H).coords in rays)
         assert inside[False] == [True] * kept
         assert inside[True] == [False] * excluded
         for F in extreme_rays(n - 1).forms:
             for k in range(n):
                 assert form_to_ray(shift(F, k)).coords in rays
+
+
+nonzero_forms = st.integers(1, 5).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, (1 << (d - 1)) - 1),
+        st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=6,
+    ).map(lambda coeffs: Form(d, coeffs))
+)
+
+
+class TestOnesFactors:
+    # The exclusion read off the rays is the old rule, which factors a
+    # ones form off each side of the pair.
+
+    def test_every_pair_of_extreme_rays(self):
+        entries = [e for n in range(5) for e in extreme_rays(n).rays]
+        hits = 0
+        for left in entries:
+            for right in entries:
+                expected = (trailing_ones_factor(left.form)[1] >= 1
+                            and leading_ones_factor(right.form)[1] >= 1)
+                assert excluded_pair(left.ray, right.ray) == expected
+                hits += expected
+        assert 0 < hits < len(entries) ** 2
+
+    @given(nonzero_forms)
+    @settings(max_examples=200)
+    def test_forms(self, F):
+        for predicate, factor in ((cone._ends_in_ones, trailing_ones_factor),
+                                  (cone._starts_with_ones, leading_ones_factor)):
+            rest, k = factor(F)
+            assert predicate(F.vector()) == predicate(form_to_ray(F).coords) == (k >= 1)
+            if k == F.degree:
+                assert F == Form(k, {0: rest})
+            elif k:
+                ones = Form(k, {0: 1})
+                pair = (rest, ones) if factor is trailing_ones_factor else (ones, rest)
+                assert convolve(*pair) == F
 
 
 class TestExtremeRays:
@@ -571,6 +620,17 @@ class TestGenerateExtremes:
             assert [repr(F) for F in generate_extremes(4)] == expected
         finally:
             extreme_rays.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_derived_rays_read_only_the_rays(self, n):
+        # The lifts, the products and their exclusion flags come from the
+        # lower entries' integer rays alone, not from their forms.
+        lower = [extreme_rays(k) for k in range(n)]
+        bare = [
+            ExtremeReport(rep.n, tuple(dataclasses.replace(e, form=None) for e in rep.rays))
+            for rep in lower
+        ]
+        assert cone._derived_rays(n, bare) == cone._derived_rays(n, lower)
 
     def test_builds_candidates_as_integer_rays(self, monkeypatch):
         # Each lift and product is built on the lower ranks' integer rays,

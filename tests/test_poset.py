@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -404,6 +405,21 @@ cover b 1
         text = "poset rank=3\nelem 0 0\nelem 1 1\ncover 0 1\n"
         with pytest.raises(PosetValidationError):
             parse_poset(text)
+
+    @pytest.mark.parametrize("header", [
+        "poset rank=+0_1", "poset rank=\u0661", "poset rank=-1", "poset rank=1 1",
+    ])
+    def test_header_rank_is_ascii_digits(self, header):
+        text = f"{header}\nelem a 0\nelem b 1\ncover a b\n"
+        with pytest.raises(ValueError, match=re.escape(f"bad header {header!r}")):
+            parse_poset(text)
+
+    @pytest.mark.parametrize("rank", ["0_1", "+1", "\u0661", "1.0", "-1"])
+    def test_elem_rank_is_ascii_digits(self, rank):
+        # int() would read the first three as rank 1.
+        line = f"elem b {rank}"
+        with pytest.raises(ValueError, match=re.escape(f"bad elem line {line!r}")):
+            parse_poset(f"poset rank=1\nelem a 0\n{line}\ncover a b\n")
 
     def test_missing_header(self):
         with pytest.raises(ValueError):
