@@ -37,6 +37,7 @@ class ZeroForm(ValueError):
 # One Fraction object per small integer, for coefficients built in bulk:
 # the extreme forms' coefficients are mostly +1 and -1.
 _SMALL_INTEGERS = {k: Fraction(k) for k in range(-16, 17)}
+_ZERO = _SMALL_INTEGERS[0]
 
 
 class Form:
@@ -90,7 +91,7 @@ class Form:
 
     def coeff(self, mask: int) -> Fraction:
         ranksets.check_mask(mask, self.degree - 1)
-        return self._coeffs.get(mask, Fraction(0))
+        return self._coeffs.get(mask, _ZERO)
 
     __getitem__ = coeff
 
@@ -108,9 +109,8 @@ class Form:
 
     def vector(self) -> tuple[Fraction, ...]:
         """Dense coefficient tuple over all masks in ascending order."""
-        return tuple(
-            self._coeffs.get(m, Fraction(0)) for m in range(1 << (self.degree - 1))
-        )
+        get = self._coeffs.get
+        return tuple([get(m, _ZERO) for m in range(1 << (self.degree - 1))])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -399,13 +399,13 @@ def render_terms(letter: str, terms: Iterable[tuple[int, Scalar]]) -> str:
 
 
 # Matched here, not left to int() or Fraction(), whose grammar differs
-# between Python versions.
-_COEFFICIENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# between Python versions; a denominator needs a nonzero digit.
+_COEFFICIENT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def parse_form(text: str) -> Form:
-    """Parse the form text format: ASCII integer or num/den coefficients, at
-    most one term line per rank set."""
+    """Parse the form text format: ASCII integer or num/den coefficients
+    with den not zero, at most one term line per rank set."""
     degree = None
     coeffs: dict[int, Fraction] = {}
     for raw in text.splitlines():

@@ -6,42 +6,47 @@ into the complete list of extreme rays.  Everything is exact; there is no
 floating point anywhere on a decision path, and integer input builds no
 Fraction.  _primitive scales a vector to coprime integers for canonicalize
 and for the rows of matrix_rank and dd_rays.  One fraction-free echelon
-routine, _independent_rows, gives matrix_rank, the first d independent
-rows of dd_rays and the rank test of cone.is_extreme, which stops once the
-active rows reach rank d - 1.
+routine, _independent_rows, gives matrix_rank and the rank test of
+cone.is_extreme, which stops once the active rows reach rank d - 1.
 
-The double description implementation starts from the rays of those d rows
-(the columns of their inverse, _inverse_columns) and inserts the other
-inequality rows one at a time, in the order given, keeping the extreme
-rays of the intermediate cone as tuples of plain Python ints.  The order
-sets the size of the intermediate cones, not the output: in
-facet_system(5)'s own order the frontier never exceeds the 796 final rays.
-Repeated and all-zero rows are inserted too, not deduplicated.  Each
-inserted row is evaluated on all live rays in one column-wise pass: one
-map per nonzero entry over the rays' coordinates in that column, and one
-C-level sum per ray over those columns, so no Python loop runs per ray and
-coefficient.  Each ray keeps one id for the whole run.  Its zero set over
-the rows inserted so far is a bitmask, and the transposed incidence (for
-each inserted row, the bitset of ray ids zero on it) is kept alongside;
-both are updated incrementally, never rebuilt.  The new rays of one
-inserted row reach the transposed incidence in one column transpose of
-their zero sets, written as fixed-width bit strings.  Adjacency of a
-positive/negative ray pair is decided by the combinatorial test alone: the
-pair's common zero set must have at least d-2 rows and must not be
-contained in the zero set of any third ray.  For the extreme rays of a
-pointed cone this test is exact (Fukuda & Prodon, "Double Description
-Method Revisited", 1996), so no rank computation runs inside the loop.  The
-scan runs per negative ray over a bitset of the positive rays still to
-test.  A pair is tried against its positive ray's witness list before the
-AND scan over the transposed incidence, and every third ray that rules a
-pair out also drops, in one bitset step, each remaining positive ray whose
-common zero set with the same negative ray lies inside its own zero set
-(bitset subset pruning in the line of Terzer & Stelling's bit-pattern
-trees, Bioinformatics 2008).  On facet_system(5) the scan examines 8,500
-of the 163,217 positive/negative pairs, and 4,504 of them reach the AND
-scan.  Bit k of a zero set stands for row k of the input, so the final
-zero sets are the rays' incidences: dd_rays returns each ray with the
-indices of the input rows that vanish on it.
+The double description implementation starts from the whole space, whose
+lines are the d unit vectors, and inserts the inequality rows one at a
+time, strictly in the order given, so its state after row j is the cone of
+the first j rows: the span of the remaining lines plus the cone of the
+live rays, kept as tuples of plain Python ints.  A row nonzero on some
+line cuts the first such line (Fukuda & Prodon, "Double Description Method
+Revisited", 1996): oriented positive on the row, it becomes a ray, and the
+other lines and the live rays move along it until they vanish on the row.
+Every combination of two vectors, there and in the pair loop, is one
+_combine step.  Lines left after the last row mean the cone is not
+pointed.  The order sets the size of the intermediate cones, not the
+output: in facet_system(5)'s own order the frontier never exceeds the 796
+final rays.  Repeated and all-zero rows are inserted too, not
+deduplicated.  Each inserted row is evaluated on all live rays in one
+column-wise pass: one map per nonzero entry over the rays' coordinates in
+that column, and one C-level sum per ray over those columns, so no Python
+loop runs per ray and coefficient.  Each ray keeps one id for the whole
+run.  Its zero set over the rows inserted so far is a bitmask, and the
+transposed incidence (for each inserted row, the bitset of ray ids zero on
+it) is kept alongside; both are updated incrementally, never rebuilt.  The
+new rays of one inserted row reach the transposed incidence in one column
+transpose of their zero sets, written as fixed-width bit strings.
+Adjacency of a positive/negative ray pair is decided by the combinatorial
+test alone: the pair's common zero set must have at least d-2 rows, less
+one per line still left, and must not be contained in the zero set of any
+third ray.  For the extreme rays of a cone this test is exact (Fukuda &
+Prodon), so no rank computation runs inside the loop.  The scan runs per
+negative ray over a bitset of the positive rays still to test.  A pair is
+tried against its positive ray's witness list before the AND scan over the
+transposed incidence, and every third ray that rules a pair out also
+drops, in one bitset step, each remaining positive ray whose common zero
+set with the same negative ray lies inside its own zero set (bitset subset
+pruning in the line of Terzer & Stelling's bit-pattern trees,
+Bioinformatics 2008).  On facet_system(5) the scan examines 8,392 of the
+163,217 positive/negative pairs, and 4,507 of them reach the AND scan.
+Bit k of a zero set stands for row k of the input, so the final zero sets
+are the rays' incidences: dd_rays returns each ray with the indices of the
+input rows that vanish on it.
 """
 
 from __future__ import annotations
@@ -156,10 +161,10 @@ def _independent_rows(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 
     Greedy in the given order, stopping once `limit` rows are picked, so
     with `limit` the column count it returns a row basis.  This one echelon
-    routine serves matrix_rank, the dd_rays initial basis and
-    cone.is_extreme.  Each row is reduced against the picked rows by
-    fraction-free elimination and divided by its gcd after every step, so
-    entries stay small even on dense input.
+    routine serves matrix_rank and cone.is_extreme; dd_rays needs no basis.
+    Each row is reduced against the picked rows by fraction-free
+    elimination and divided by its gcd after every step, so entries stay
+    small even on dense input.
     """
     picked: list[int] = []
     pivots: list[tuple[int, list[int]]] = []
@@ -189,36 +194,11 @@ def matrix_rank(A: Sequence[Sequence[Scalar]]) -> int:
     return len(_independent_rows(list(map(_primitive, rows)), len(rows[0])))
 
 
-def _inverse_columns(B: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The columns of B^-1, each scaled to a primitive integer vector.
-
-    B is a square invertible integer matrix.  Fraction-free Gauss-Jordan
-    takes [B | I] to [D | M] with D diagonal, dividing every row by its gcd
-    as it goes; then B^-1 = D^-1 M, and scaling row i of M by lcm(D) / D_ii
-    gives lcm(D) B^-1, whose columns are positive multiples of those of
-    B^-1.  Column j is zero on every row of B but row j, and positive on
-    row j.
-    """
-    d = len(B)
-    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(B)]
-    for c in range(d):
-        p = next(i for i in range(c, d) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c]
-        head = piv[c]
-        for i in range(d):
-            f = aug[i][c]
-            if i != c and f:
-                row = [head * a - f * b for a, b in zip(aug[i], piv)]
-                g = gcd(*row)
-                aug[i] = [x // g for x in row]
-    den = lcm(*(aug[i][i] for i in range(d)))
-    scaled = [[x * (den // row[i]) for x in row[d:]] for i, row in enumerate(aug)]
-    columns = []
-    for col in zip(*scaled):
-        g = gcd(*col)
-        columns.append(tuple([x // g for x in col]))
-    return columns
+def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """a * u - b * v divided by the gcd of its entries: the one DD step."""
+    combo = [a * x - b * y for x, y in zip(u, v)]
+    g = gcd(*combo)
+    return tuple(combo) if g == 1 else tuple([x // g for x in combo])
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -321,34 +301,40 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
     set stands for row k of A, so active is read straight off the final
     zero-set bitmask.
 
-    The rows are scaled to coprime integers and inserted in the order
-    given.  A repeated or all-zero row is inserted like any other, not
-    deduplicated: no ray is negative on it, so it only adds its bit to the
-    zero sets of the rays it vanishes on.  The first d independent rows
-    form the initial basis, whose rays are the columns of its inverse (see
-    _inverse_columns).  Inside the loop rays are plain int tuples named by
-    stable ids: ids only grow, a removed ray leaves the live bitset and its
-    coordinates are released, and the transposed incidence gains each
-    inserted row once.  Each row gathers the live ids and their rays once,
-    picked from range(len(rays)) and rays by compress over the bytes of
+    The rows are scaled to coprime integers and inserted strictly in the
+    order given, starting from the whole space: no rays, and the d unit
+    vectors as lines.  A row nonzero on a line cuts the first such line into
+    a ray zero on every earlier row, and moves every other line, and every
+    live ray nonzero on the row, along it (_combine, on the values already
+    computed); every live ray gains the row's bit.  Any other row goes
+    through the pair loop, whose adjacency test asks for d - 2 common zero
+    rows less one per line left.  A repeated or all-zero row is inserted
+    like any other, not deduplicated: no ray is negative on it, so it only
+    adds its bit to the zero sets of the rays it vanishes on.  Lines left
+    after the last row raise NotPointed.
+
+    Inside the loop rays are plain int tuples named by stable ids: ids only
+    grow, a removed ray leaves the live bitset and its coordinates are
+    released, and the transposed incidence gains each inserted row once.
+    Each row gathers the live ids and their rays once, picked from
+    range(len(rays)) and rays by compress over the bytes of
     _bits(live_bits), and evaluates itself on all of them column by column:
     for each nonzero entry x in column c, the column map(itemgetter(c),
     live_rays), multiplied through map(mul, repeat(x), ...) only when x is
-    not 1, and one C-level sum per ray over the zip of those columns.  A
-    leading column of zeros keeps an all-zero row's values zero.  The
-    values then split the ids into positive, negative and zero in ascending
-    id order.  The new rays of one row take consecutive ids from t0, and
-    each one's zero set is also written as an m-character bit string.
-    Column c of those strings, last ray first, is the bitset of new rays
-    zero on row m - 1 - c, bit p standing for id t0 + p, so each row of the
-    transposed incidence gains its column in one OR shifted by t0.  The
-    columns are taken one at a time: at rank 7 one row makes tens of
-    thousands of new rays.  A new ray is divided by its gcd only when that
-    is not 1.  The active rows of a final zero set are read off the same
-    way, picked from range(m) by compress over the bytes of _bits.  Output
-    rays are canonical (primitive integer, fixed direction) and sorted
-    lexicographically by coordinate vector, so the result is independent of
-    the input row order.
+    not 1, and one C-level sum per ray over the zip of those columns; each
+    line gets one sum of products.  A leading column of zeros keeps an
+    all-zero row's values zero.  The values then split the ids into
+    positive, negative and zero in ascending id order.  The new rays of one
+    row take consecutive ids from t0, and each one's zero set is also
+    written as an m-character bit string.  Column c of those strings, last
+    ray first, is the bitset of new rays zero on row m - 1 - c, bit p
+    standing for id t0 + p, so each row of the transposed incidence gains
+    its column in one OR shifted by t0.  The columns are taken one at a
+    time: at rank 7 one row makes tens of thousands of new rays.  The active
+    rows of a final zero set are read off the same way, picked from range(m)
+    by compress over the bytes of _bits.  Output rays are canonical
+    (primitive integer, fixed direction) and sorted lexicographically by
+    coordinate vector, so the result is independent of the input row order.
     """
     given = _as_rows(A)
     d = len(given[0])
@@ -357,27 +343,16 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
 
     rows = list(map(_primitive, given))
     m = len(rows)
-    basis_idx = _independent_rows(rows, d)
-    if len(basis_idx) < d:
-        raise NotPointed("inequality rows have rank %d < %d" % (len(basis_idx), d))
-
-    # Ray ids index rays and masks.  Initial ray t is zero on every basis
-    # row except basis_idx[t].
-    rays: list[tuple[int, ...] | None] = list(
-        _inverse_columns([rows[k] for k in basis_idx]))
-    basis_bits = sum(1 << k for k in basis_idx)
-    masks: list[int] = [basis_bits ^ 1 << k for k in basis_idx]
-    live_bits = (1 << d) - 1
+    # The cone of the rows inserted so far is the span of lines plus the
+    # cone of the live rays, whose ids index rays and masks.
+    lines = [tuple([int(i == j) for j in range(d)]) for i in range(d)]
+    rays: list[tuple[int, ...] | None] = []
+    masks: list[int] = []
     zero_on = [0] * m
-    for t, k in enumerate(basis_idx):
-        zero_on[k] = live_bits ^ 1 << t
-
+    live_bits = 0
     fixed_width = ("{:0%db}" % m).format
-    need = d - 2
 
-    for k in range(m):
-        if basis_bits >> k & 1:
-            continue
+    for k, row in enumerate(rows):
         bit = 1 << k
         flags = _bits(live_bits)
         ids = list(compress(range(len(rays)), flags))
@@ -387,9 +362,30 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
         columns = [
             map(itemgetter(c), live_rays) if x == 1
             else map(mul, repeat(x), map(itemgetter(c), live_rays))
-            for c, x in enumerate(rows[k]) if x
+            for c, x in enumerate(row) if x
         ]
         values = list(map(sum, zip(repeat(0, len(ids)), *columns)))
+        on_lines = [sum(map(mul, row, line)) for line in lines]
+        p = next((p for p, w in enumerate(on_lines) if w), None)
+        if p is not None:
+            # Row k cuts the first line it is nonzero on into a ray, along
+            # which the other lines and the live rays move onto the row.
+            cut, w = lines.pop(p), on_lines.pop(p)
+            if w < 0:
+                cut, w = tuple([-x for x in cut]), -w
+            lines = [_combine(w, line, x, cut) if x else line
+                     for line, x in zip(lines, on_lines)]
+            for t, v in zip(ids, values):
+                if v:
+                    rays[t] = _combine(w, rays[t], v, cut)
+                masks[t] |= bit
+            zero_on[k] = live_bits
+            t = len(rays)
+            rays.append(cut)
+            masks.append(bit - 1)
+            zero_on[:k] = [z | 1 << t for z in zero_on[:k]]
+            live_bits |= 1 << t
+            continue
         pos: list[int] = []
         neg: list[int] = []
         on_k = 0
@@ -403,6 +399,7 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
                 on_k |= 1 << t
         zero_on[k] = on_k
         if neg:
+            need = d - len(lines) - 2
             pairs = adjacency_pairs(masks, zero_on, live_bits, pos, neg, need)
             val = dict(zip(ids, values))
             # The new rays take ids t0, t0 + 1, ...; column c of their
@@ -411,10 +408,7 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
             t0 = len(rays)
             strings = []
             for i, j in pairs:
-                vi, vj = val[i], val[j]
-                combo = [vi * b - vj * a for a, b in zip(rays[i], rays[j])]
-                g = gcd(*combo)
-                rays.append(tuple(combo) if g == 1 else tuple([x // g for x in combo]))
+                rays.append(_combine(val[i], rays[j], val[j], rays[i]))
                 mk = masks[i] & masks[j] | bit
                 masks.append(mk)
                 strings.append(fixed_width(mk))
@@ -427,6 +421,9 @@ def dd_rays(A: Sequence[Sequence[Scalar]]) -> list[tuple[Ray, tuple[int, ...]]]:
             for t in neg:
                 rays[t] = None
                 live_bits ^= 1 << t
+
+    if lines:
+        raise NotPointed("inequality rows have rank %d < %d" % (d - len(lines), d))
 
     out = []
     live = compress(range(len(rays)), _bits(live_bits))

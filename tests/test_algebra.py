@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcone import ranksets
+from flagcone import algebra, ranksets
 from flagcone.algebra import (
     BadShiftIndex,
     DegreeMismatch,
@@ -118,6 +118,18 @@ class TestForm:
         F = Form(3, {0: 1, 3: Fraction(-2, 3)})
         assert Form.from_vector(3, F.vector()) == F
         assert len(F.vector()) == 4
+
+    def test_vector_builds_no_fraction(self, monkeypatch):
+        # Absent masks share one zero instead of a new Fraction(0) each.
+        F = Form(7, {M(1, 3): 2, M(): Fraction(-1, 2)})
+        expected = [F.coeff(m) for m in range(64)]
+
+        def no_fraction(*args):
+            raise AssertionError("Fraction built for an absent mask")
+
+        monkeypatch.setattr(algebra, "Fraction", no_fraction)
+        assert list(F.vector()) == expected
+        assert F.coeff(M(2)) == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_from_vector_matches_constructor(self, seed):
@@ -536,15 +548,17 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("coeff", [
         "1_000", "1.5", "1e3", "1/2/3", "1/-2", "\u0663", "inf", "nan", "+-1", "",
+        "1/0", "-3/00",
     ])
     def test_coefficient_grammar(self, coeff):
-        # Only [+-]digits and [+-]digits/digits, the same on every Python.
+        # Only [+-]digits and [+-]digits/digits with a nonzero denominator,
+        # the same on every Python.
         line = f'"{{1,3}}" {coeff}'.rstrip()
         with pytest.raises(ValueError, match=re.escape(f"bad term line {line!r}")):
             parse_form(f"form rank=4\n{line}\n")
 
     def test_signed_and_fractional_coefficients(self):
-        F = parse_form("form rank=4\n{1} +3\n{2} -0\n{3} -12/08\n")
+        F = parse_form("form rank=4\n{1} +3\n{2} -0\n{3} -12/08\n{1,2} 0/010\n")
         assert F == Form(4, {M(1): 3, M(3): Fraction(-3, 2)})
 
     @pytest.mark.parametrize("terms", ['"{1}" 1\n"{1}" 1', '{1,2} 1\n"{2,1}" -1'])

@@ -276,6 +276,12 @@ class TestCheck:
         assert main(["check", "--rank", "4", "--form", path]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_zero_denominator_in_form_file_is_error(self, capsys, tmp_path):
+        # Fraction(1, 0) used to escape as a ZeroDivisionError naming no line.
+        path = write(tmp_path / "zero.form", 'form rank=4\n"{1}" 1/0\n')
+        assert main(["check", "--rank", "4", "--form", path]) == 2
+        assert capsys.readouterr() == ("", "error: bad term line '\"{1}\" 1/0'\n")
+
     def test_non_ascii_elem_rank_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "odd.poset", "poset rank=2\nelem a 0\nelem c 0_2\n")
         assert main(["fvector", "--poset", path]) == 2

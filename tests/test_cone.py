@@ -798,9 +798,9 @@ class TestPinnedOutputs:
 
     @staticmethod
     def rank7_frontier(count: int) -> list:
-        # The intermediate cone the rank-7 run reaches after inserting
-        # facet_system(6)'s 64 basis rows and its first `count` other rows in
-        # lex-max order; dd_rays inserts these rows in the order given.
+        # The cone of facet_system(6)'s rows in lex-max order cut down to
+        # its first 64 independent rows, then its first `count` other rows,
+        # a rank-7 frontier small enough to pin.
         rows = sorted(facet_system(6).normal_matrix, reverse=True)
         basis = polyhedra._independent_rows(rows, len(rows[0]))
         chosen = set(basis)

@@ -322,7 +322,7 @@ def test_witness_lists_save_and_chains(monkeypatch, n, expected):
     # Every witness found in a call stays on its positive ray's list, and
     # each one prunes the other positive rays it rules out, so pairs the two
     # last witnesses let through are ruled out without a chain: at rank 5,
-    # 117 chains against 130; at rank 6, 4,504 against 10,388.
+    # 117 chains against 129; at rank 6, 4,507 against 10,752.
     rays, counts = chain_counts(monkeypatch, n, {
         "lists": adjacency_pairs, "two": two_witness_scan,
     })

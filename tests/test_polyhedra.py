@@ -255,22 +255,41 @@ class TestDDRays:
     def test_accepted_pairs_have_codimension_two(self, n, monkeypatch):
         # Adjacency is decided by the combinatorial test alone.  Confirm it
         # algebraically at ranks 2 to 5, on the facet rows and on them with
-        # repeated, scaled and zero rows: the rows on which both rays of an
-        # accepted pair vanish have rank exactly d - 2.  Mask bit k is row k
-        # of the input, so the transposed incidence has one entry per input
-        # row; on the live rays it must agree with one rebuilt here from the
-        # masks.
+        # repeated, scaled and zero rows.  Until the rows inserted so far
+        # have rank d, the cone has lines and `need` is two less than that
+        # rank: the rows on which both rays of an accepted pair vanish have
+        # rank exactly `need`.  Mask bit k is row k of the input, so the
+        # transposed incidence has one entry per input row; on the live
+        # rays it must agree with one rebuilt here from the masks.
         repeated = with_repeats(random.Random(n), facet_matrix(n))
         for rows in (facet_matrix(n), repeated):
             d = len(rows[0])
-            calls = spy_incidence(monkeypatch, len(rows))
+            spy_incidence(monkeypatch, len(rows))
+            checked = polyhedra.adjacency_pairs
+            accepted = []
+
+            def record(masks, zero_on, live, pos, neg, need):
+                pairs = checked(masks, zero_on, live, pos, neg, need)
+                if pairs:
+                    commons = [masks[i] & masks[j] for i, j in pairs]
+                    accepted.append((need, masks, len(masks), commons))
+                return pairs
+
+            monkeypatch.setattr(polyhedra, "adjacency_pairs", record)
             dd_rays(rows)
-            common_sets = [masks[i] & masks[j]
-                           for masks, _, _, _, pairs in calls for i, j in pairs]
-            assert common_sets or n == 1  # rank 2 has a single ray
-            for common in common_sets:
-                active = [row for k, row in enumerate(rows) if common >> k & 1]
-                assert (matrix_rank(active) if active else 0) == d - 2
+            assert accepted or n == 1  # rank 2 has a single ray
+            for need, masks, t0, commons in accepted:
+                # masks is dd_rays' own list, now in its final state.  The
+                # row inserted is the lowest row of the first new ray's zero
+                # set outside the common zero set of its pair.
+                row_bits = masks[t0] & ~commons[0]
+                k = (row_bits & -row_bits).bit_length() - 1
+                assert need + 2 == matrix_rank(rows[:k + 1])
+                for common in commons:
+                    active = [row for r, row in enumerate(rows) if common >> r & 1]
+                    assert (matrix_rank(active) if active else 0) == need
+            if n >= 3:
+                assert min(need for need, *_ in accepted) < d - 2
 
     def test_integer_input_builds_no_fraction(self, monkeypatch):
         # Integer rows stay integers on every path: rank and enumeration.
@@ -444,7 +463,8 @@ class TestIncidenceTranspose:
         return calls
 
     def test_row_with_one_new_ray(self, monkeypatch):
-        # Basis (1, 0), (1, -1); row (0, 1) cuts ray (0, -1) and makes (1, 0).
+        # Rows (1, 0) and (1, -1) cut the two lines into rays (1, 1) and
+        # (0, -1); row (0, 1) cuts ray (0, -1) and makes (1, 0).
         rows = [(1, 0), (1, -1), (0, 1)]
         calls = self.run(monkeypatch, rows, brute_rays(rows))
         assert [(t0, pairs) for _, _, t0, _, pairs in calls] == [(2, [(0, 1)])]
@@ -467,6 +487,43 @@ class TestIncidenceTranspose:
         calls = self.run(monkeypatch, rows, expected)
         assert max(t0 for _, _, t0, _, pairs in calls if pairs) > 2 * len(rows)
         assert max(len(pairs) for *_, pairs in calls) > 1
+
+
+class TestLineStart:
+    # dd_rays starts from the whole space, whose lines are the unit vectors,
+    # and a row nonzero on a line cuts it into a ray.  Here the first rows
+    # are zero, repeated (also negated) or combinations of earlier rows,
+    # which cut no line, and the rows after the first nonzero one cut lines
+    # while rays exist, so those rays move.
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dependent_leading_rows_match_brute_force(self, seed):
+        rng = random.Random(4100 + seed)
+        d = rng.randint(2, 5)
+        first = (0,) * d
+        while not any(first):
+            first = tuple(rng.randint(-3, 3) for _ in range(d))
+        rows = [(0,) * d, first, first, tuple(rng.choice((-2, -1, 2)) * x for x in first)]
+        while len(rows) < d + 5 or gauss_pivots(rows)[0] < d:
+            if rng.random() < 0.3:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.randint(-3, 3) for _ in range(d)))
+        out = dd_rays(rows)
+        assert {r.coords for r, _ in out} == brute_rays(rows)
+        for ray, active in out:
+            assert active == zero_rows(rows, ray.coords)
+
+    def test_cut_moves_a_ray(self):
+        # Row 0 cuts the line (1, 0, 0) into a ray; row 1 is 1 on it and
+        # cuts (0, 1, 0), moving the ray to (1, -1, 0).
+        rows = [(1, 0, 0), (1, 1, 0), (0, 0, 1)]
+        assert dd_rays(rows) == [
+            (Ray((0, 0, 1)), (0, 1)), (Ray((0, 1, 0)), (0, 2)),
+            (Ray((1, -1, 0)), (1, 2)),
+        ]
 
 
 class TestInsertionOrder:
@@ -529,8 +586,10 @@ def random_basis(rng: random.Random, d: int) -> list[tuple[int, ...]]:
 
 
 class TestInitialBasis:
-    # dd_rays starts from the rays of the cone cut out by d independent
-    # rows: the columns of their inverse, found by integer elimination.
+    # dd_rays picks no initial basis: on d independent rows, starting from
+    # the whole space, it must still return the simplicial cone's rays, the
+    # columns of their inverse.  _independent_rows is the echelon routine of
+    # matrix_rank and is_extreme.
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_inverse_columns_match_fraction_inverse(self, d):
@@ -538,13 +597,16 @@ class TestInitialBasis:
         for _ in range(5):
             B = random_basis(rng, d)
             inv = fraction_inverse(B)
-            cols = polyhedra._inverse_columns(B)
-            assert cols == [primitive([inv[i][j] for i in range(d)]) for j in range(d)]
-            for j, col in enumerate(cols):
-                assert gcd(*col) == 1
+            expected = sorted(
+                (primitive([inv[i][j] for i in range(d)]),
+                 tuple(i for i in range(d) if i != j))
+                for j in range(d))
+            out = dd_rays(B)
+            assert [(r.coords, active) for r, active in out] == expected
+            for ray, active in out:
                 for i, row in enumerate(B):
-                    value = sum(a * b for a, b in zip(row, col))
-                    assert value > 0 if i == j else value == 0
+                    value = sum(a * b for a, b in zip(row, ray.coords))
+                    assert value == 0 if i in active else value > 0
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_independent_rows_match_greedy_rank(self, d):
