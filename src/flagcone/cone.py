@@ -3,9 +3,13 @@
 A form of degree n+1 is nonnegative on every graded poset of rank n+1
 exactly when, for each of the Catalan-many antichains of intervals on
 [1, n], the form's coefficients sum to something nonnegative over the
-antichain's blocker family.  This module materializes those facets, decides
-membership two independent ways (facet evaluation and the projection
-recursion), enumerates the extreme rays of the cone by double description,
+antichain's blocker family.  This module materializes those facets as 0/1
+normals for the double description and the extremeness rank test, and
+decides membership two independent ways: facet evaluation and the
+projection recursion.  Facet evaluation needs no normals: one subset-sum
+(zeta) transform of the coefficients gives every blocker sum as a short
+signed sum, by inclusion-exclusion over the antichain's intervals.  The
+module also enumerates the extreme rays of the cone by double description,
 reproduces them constructively by lifting and convolution, and builds the
 polar cone spanned by the normalized limit flag vectors, whose facets are
 those extreme rays.
@@ -87,8 +91,10 @@ class FacetSystem:
     canonical: each antichain's intervals sorted by (lo, hi), antichains
     ascending lexicographically by that list (IntervalSystem.sort_key).
     The normal of the antichain I is the 0/1 indicator of its blocker
-    family over the rank sets in ascending mask order, so a facet's value
-    on a coefficient vector is the sum over its support (see values).
+    family over the rank sets in ascending mask order.  The normals are the
+    rows of the double description and of the extremeness rank test;
+    membership reads the facet values off subset sums instead (see
+    _facet_values), without them.
     """
 
     n: int
@@ -97,19 +103,6 @@ class FacetSystem:
     @property
     def normal_matrix(self) -> list[tuple[int, ...]]:
         return [normal.coords for _, normal in self.facets]
-
-    @cached_property
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        """Per facet, the coordinates where its 0/1 normal is 1."""
-        return tuple(
-            tuple(c for c, z in enumerate(normal.coords) if z)
-            for _, normal in self.facets
-        )
-
-    def values(self, vec: Sequence[Scalar]) -> Iterator[Scalar]:
-        """The facet values of a coefficient vector, lazily, in facet order."""
-        for support in self.supports:
-            yield sum([vec[c] for c in support])
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -126,6 +119,57 @@ def facet_system(n: int) -> FacetSystem:
         normal = Ray(tuple(1 if mask in fam else 0 for mask in ranksets.subsets(n)))
         facets.append((sys_, normal))
     return FacetSystem(n, tuple(facets))
+
+
+@lru_cache(maxsize=None)
+def _facet_terms(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per antichain, in facet order, the subset sums its blocker sum adds
+    (`plus`) and subtracts (`minus`).
+
+    A rank set blocks the antichain I exactly when it meets every interval,
+    so by inclusion-exclusion over the subsets J of I the blocker sum is
+    the sum of (-1)^|J| g(T_J), where T_J is the complement of the union of
+    J and g(T) sums the coefficients of the rank sets inside T.  Equal T_J
+    are merged with their signs; a net multiplicity above 1 repeats the
+    index.  At rank 7 that leaves 9.4 terms per facet, against 23.8
+    nonzeros in a 0/1 normal.  Built from the antichains alone, so no
+    facet normal is needed.
+    """
+    full = (1 << n) - 1
+    terms = []
+    for sys_ in enumerate_antichains(n):
+        unions = {0: 1}  # union of J -> sum of (-1)^|J|
+        for iv in sys_.intervals:
+            grown = dict(unions)
+            for u, c in unions.items():
+                grown[u | iv.mask] = grown.get(u | iv.mask, 0) - c
+            unions = grown
+        plus: list[int] = []
+        minus: list[int] = []
+        for u, c in sorted(unions.items()):
+            (plus if c > 0 else minus).extend([full ^ u] * abs(c))
+        terms.append((tuple(plus), tuple(minus)))
+    return tuple(terms)
+
+
+def _facet_values(vec: Sequence[Scalar], n: int) -> Iterator[Scalar]:
+    """The facet values of a coefficient vector, lazily, in facet order.
+
+    One in-place zeta transform, n passes each adding g[T ^ bit] into g[T]
+    for every T holding the bit, turns a copy of the vector into its subset
+    sums g(T); each facet's blocker sum is then the signed sum of its
+    _facet_terms.  The values are those of the 0/1 normals, exactly.
+    """
+    g = list(vec)
+    size = len(g)
+    for b in range(n):
+        bit = 1 << b
+        for base in range(bit, size, bit << 1):
+            for T in range(base, base + bit):
+                g[T] += g[T ^ bit]
+    get = g.__getitem__
+    for plus, minus in _facet_terms(n):
+        yield sum(map(get, plus)) - sum(map(get, minus))
 
 
 @dataclass(frozen=True)
@@ -163,14 +207,14 @@ def _check_degree(F: Form) -> int:
 def contains(F: Form) -> MembershipResult:
     """Is the form nonnegative on every graded poset of its rank?
 
-    Evaluates the blocker sum of each facet antichain in canonical order
-    (FacetSystem.values) and stops at the first negative one.  On failure
-    the result carries that antichain and a concrete witness recipe; see
-    MembershipResult.
+    Evaluates the blocker sum of each facet antichain in canonical order,
+    from the subset sums of the form's coefficients (_facet_values), and
+    stops at the first negative one.  On failure the result carries that
+    antichain and a concrete witness recipe; see MembershipResult.
     """
     n = _check_degree(F)
     fs = facet_system(n)
-    for (sys_, _), value in zip(fs.facets, fs.values(F.vector())):
+    for (sys_, _), value in zip(fs.facets, _facet_values(F.vector(), n)):
         if value < 0:
             witness = None
             witness_value = None
@@ -196,25 +240,29 @@ def contains_by_projection(F: Form) -> bool:
     cutoff m in [0, n] lies in the next cone down.
     """
     _check_degree(F)
-    cache: dict[Form, bool] = {}
+    return _projection_rec(F, {})
 
-    def rec(G: Form) -> bool:
-        if G.degree == 1:
-            return G.coeff(0) >= 0
-        hit = cache.get(G)
-        if hit is not None:
-            return hit
-        verdict = True
-        for m in range(G.degree):
-            image = project(G, m)
-            ok = image >= 0 if isinstance(image, Fraction) else rec(image)
-            if not ok:
-                verdict = False
-                break
-        cache[G] = verdict
-        return verdict
 
-    return rec(F)
+def _projection_rec(G: Form, cache: dict[Form, bool]) -> bool:
+    """The recursion of contains_by_projection, memoized in `cache`.
+
+    A module-level function rather than a closure over the cache, so a call
+    leaves no reference cycle and its projected forms are freed on return.
+    """
+    if G.degree == 1:
+        return G.coeff(0) >= 0
+    hit = cache.get(G)
+    if hit is not None:
+        return hit
+    verdict = True
+    for m in range(G.degree):
+        image = project(G, m)
+        ok = image >= 0 if isinstance(image, Fraction) else _projection_rec(image, cache)
+        if not ok:
+            verdict = False
+            break
+    cache[G] = verdict
+    return verdict
 
 
 def is_extreme(F: Form) -> bool:
@@ -222,8 +270,9 @@ def is_extreme(F: Form) -> bool:
 
     True exactly when the facet normals vanishing on F have rank 2^n - 1,
     one less than the ambient dimension (Fukuda & Prodon 1996).  One sweep
-    over the facet values both checks membership and collects the
-    vanishing normals.  It runs in integers, over form_to_ray(F): a
+    over the facet values (_facet_values, from subset sums) both checks
+    membership and collects the normals of the facets where the value is
+    zero.  It runs in integers, over form_to_ray(F): a
     positive scaling keeps every value's sign and every zero.  A form
     outside the cone raises NotInCone naming the first violated antichain,
     the one contains(F).violated reports.
@@ -248,7 +297,7 @@ def _is_extreme_ray(fs: FacetSystem, ray: tuple[int, ...]) -> bool:
     so it calls this directly instead of canonicalizing again.
     """
     active = []
-    for (sys_, normal), value in zip(fs.facets, fs.values(ray)):
+    for (sys_, normal), value in zip(fs.facets, _facet_values(ray, fs.n)):
         if value < 0:
             raise NotInCone(f"form violates the facet at {sys_}")
         if value == 0:

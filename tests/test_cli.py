@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,7 @@ def write(path, text: str) -> str:
 
 BANKER = 'form rank=4\n"{1,3}" 1\n"{1}" -1\n"{2}" 1\n"{3}" -1\n'
 NEGATIVE = 'form rank=3\n"{}" -1\n'
+DATA = Path(__file__).parent / "data"
 
 
 class TestFacets:
@@ -241,6 +243,15 @@ class TestCheck:
         assert "blocker sum: -1" in out
         assert "witness poset: rank=3 intervals=empty N=1" in out
         assert "witness evaluation: -1" in out
+
+    def test_rank7_certificate_matches_committed_output(self, capsys):
+        # A rank-7 form violating a five-interval antichain, with its
+        # witness found at N = 8; CI diffs the installed command against
+        # the same file.
+        path = str(DATA / "outside-r7.form")
+        code, out = run(capsys, ["check", "--rank", "7", "--form", path, "--certificate"])
+        assert code == 1
+        assert out == (DATA / "outside-r7.certificate").read_text()
 
     def test_rank_mismatch_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "banker.form", BANKER)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -31,7 +33,7 @@ from flagcone.cone import (
 )
 from flagcone.intervals import (
     AmbientTooLarge, IntervalOutOfRange, IntervalSystem, blockers, catalan,
-    is_blocker,
+    enumerate_antichains, is_blocker,
 )
 from flagcone.polyhedra import dd_rays, matrix_rank
 from flagcone.poset import flag_number, flag_vector, witness_poset
@@ -98,6 +100,50 @@ class TestFacetSystem:
                     1 if s & u == u else 0 for s in ranksets.subsets(3)
                 )
                 assert normal.coords == expected
+
+
+@functools.lru_cache(maxsize=None)
+def blocker_members(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(blockers(sys_).members) for sys_ in enumerate_antichains(n))
+
+
+def coefficient_vectors(scalars):
+    return st.integers(0, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(scalars, min_size=1 << n, max_size=1 << n))
+    )
+
+
+class TestFacetValues:
+    # _facet_values reads every blocker sum off one subset-sum transform;
+    # the oracle adds the coefficients over the blocker family itself.
+
+    @given(st.one_of(coefficient_vectors(st.integers(-10**6, 10**6)),
+                     coefficient_vectors(st.fractions(-9, 9, max_denominator=7))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_blocker_sums(self, case):
+        n, vec = case
+        got = list(cone._facet_values(vec, n))
+        expected = [sum(vec[s] for s in members) for members in blocker_members(n)]
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+
+    # _is_extreme_ray pairs each value with the normal at the same index of
+    # facet_system(n), so both must come in one order.
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_facet_normals(self, n):
+        rng = random.Random(n)
+        vec = [rng.randint(-5, 5) for _ in range(1 << n)]
+        expected = [sum(a * z for a, z in zip(vec, normal.coords))
+                    for _, normal in facet_system(n).facets]
+        assert list(cone._facet_values(vec, n)) == expected
+
+    @pytest.mark.parametrize("n, terms", [(0, 1), (1, 3), (6, 4019), (7, 18771)])
+    def test_term_counts(self, n, terms):
+        # 9.4 terms per facet at rank 7 and 13.1 at rank 8, against 23.8
+        # and 44.2 nonzeros in the 0/1 normals.
+        lists = cone._facet_terms(n)
+        assert len(lists) == catalan(n + 1)
+        assert sum(len(plus) + len(minus) for plus, minus in lists) == terms
 
 
 class TestContains:
@@ -196,6 +242,19 @@ class TestProjectionMembership:
         for n in (1, 2, 3):
             for entry in extreme_rays(n).rays:
                 assert contains_by_projection(entry.form)
+
+    def test_call_leaves_no_garbage(self):
+        # The recursion's cache and projected forms must be freed on return
+        # by reference counting, with no cycle left for the collector.
+        F = shift(shift(extreme_rays(4).rays[-1].form, 2), 0) + convolve(
+            BANKER, extreme_rays(2).rays[-1].form)
+        gc.collect()
+        gc.disable()
+        try:
+            assert contains_by_projection(F)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIsExtreme:
@@ -348,13 +407,13 @@ class TestIsExtremeExact:
 
     def test_facet_sweep_sees_only_ints(self, monkeypatch):
         swept = []
-        values = cone.FacetSystem.values
+        values = cone._facet_values
 
-        def spy(self, vec):
+        def spy(vec, n):
             swept.append(tuple(vec))
-            return values(self, vec)
+            return values(vec, n)
 
-        monkeypatch.setattr(cone.FacetSystem, "values", spy)
+        monkeypatch.setattr(cone, "_facet_values", spy)
         forms = [BANKER * Fraction(1, 3), Form(4, {M(2): Fraction(3, 4)}),
                  Form(3, {0: Fraction(-1, 2)})]
         forms += [e.form * Fraction(2, 7) for e in extreme_rays(3).rays]
@@ -795,6 +854,37 @@ class TestPinnedOutputs:
     def test_facet_system_digest(self, n):
         rows = ((str(sys_),) + normal.coords for sys_, normal in facet_system(n).facets)
         assert rows_digest(rows) == FACET_DIGESTS[n]
+
+    @staticmethod
+    def rank7_forms(count: int) -> list[Form]:
+        # Seeded rank-7 forms: nonnegative combinations of shifts and
+        # products of extreme forms of ranks 2 to 5, every fourth minus one
+        # more such image, which puts it outside.
+        rng = random.Random(7)
+        extremes = {n + 1: extreme_rays(n).forms for n in range(1, 5)}
+
+        def image() -> Form:
+            if rng.randrange(3) == 0:
+                F = rng.choice(extremes[5])
+                return shift(shift(F, rng.randrange(5)), rng.randrange(6))
+            p = rng.randint(2, 5)
+            return convolve(rng.choice(extremes[p]), rng.choice(extremes[7 - p]))
+
+        forms = []
+        for i in range(count):
+            F = sum((image() * rng.randint(1, 3) for _ in range(rng.randint(2, 3))), Form(7))
+            forms.append(F - image() if i % 4 == 3 else F)
+        return forms
+
+    def test_rank7_membership_digest(self):
+        # Three inside for every one outside, as the projection recursion
+        # decides; the outside results carry the violated antichain, its
+        # blocker sum and the witness.
+        forms = self.rank7_forms(32)
+        assert [contains_by_projection(F) for F in forms] == [i % 4 != 3 for i in range(32)]
+        text = "\n".join(repr(contains(F)) for F in forms)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f4650172af458ce3be7d2af0179118927ed610f92c93c195f38a3fa0afe8c6d2")
 
     @staticmethod
     def rank7_frontier(count: int) -> list:
