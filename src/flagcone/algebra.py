@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import poset as poset_mod
@@ -52,7 +53,7 @@ class Form:
         acc: dict[int, Fraction] = {}
         for mask, c in items:
             ranksets.check_mask(mask, degree - 1)
-            acc[mask] = acc.get(mask, Fraction(0)) + Fraction(c)
+            acc[mask] = acc.get(mask, _ZERO) + Fraction(c)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(
             self, "_coeffs", {m: c for m, c in sorted(acc.items()) if c}
@@ -121,7 +122,7 @@ class Form:
             raise DegreeMismatch(f"degrees {self.degree} != {other.degree}")
         acc = dict(self._coeffs)
         for m, c in other._coeffs.items():
-            acc[m] = acc.get(m, Fraction(0)) + sign * c
+            acc[m] = acc.get(m, _ZERO) + sign * c
         return Form(self.degree, acc)
 
     def __add__(self, other):
@@ -221,6 +222,21 @@ def shift(F: Form, k: int) -> Form:
     return Form.from_vector(F.degree + 1, _shift_vector(F.vector(), k))
 
 
+def _project_vector(vec: Sequence[Scalar], m: int) -> tuple[Scalar, ...]:
+    """The coefficient vector of a projection at cutoff m, for len(vec) >= 2.
+
+    The top half (the rank sets holding the top letter n) folds onto the
+    bottom half, each entry dropping its top letter.  A bottom entry keeps
+    its own value only when its rank set meets [m, n-1], i.e. from index
+    2^(m-1) on, or everywhere when m <= 0; below that only the folded value
+    is left.  The values keep their type: ints stay ints.
+    """
+    half = len(vec) >> 1
+    cut = 0 if m <= 0 else half if m >= half.bit_length() else 1 << (m - 1)
+    top = vec[half:]
+    return (*top[:cut], *map(add, vec[cut:half], top[cut:]))
+
+
 def project(F: Form, m: int) -> Form | Fraction:
     """Degree-lowering projection with visibility cutoff m.
 
@@ -229,21 +245,13 @@ def project(F: Form, m: int) -> Form | Fraction:
     [m, n-1].  For m <= 0 everything survives.  A form of degree n+1 is
     nonnegative on all rank-(n+1) posets exactly when all its projections
     m = 0..n are nonnegative on all rank-n posets; degree-1 forms project
-    to their scalar coefficient.
+    to their scalar coefficient.  On coefficient vectors it is
+    _project_vector.
     """
     n = F.degree - 1
     if n == 0:
         return F.coeff(0)
-    top = 1 << (n - 1)
-    window = ranksets.interval_mask(m, n - 1) if 1 <= m <= n - 1 else 0
-    out: dict[int, Fraction] = {}
-    for s, c in F.terms():
-        if s & top:
-            key = s ^ top
-            out[key] = out.get(key, Fraction(0)) + c
-        elif m <= 0 or s & window:
-            out[s] = out.get(s, Fraction(0)) + c
-    return Form(n, out)
+    return Form.from_vector(n, _project_vector(F.vector(), m))
 
 
 def prefix_restriction(F: Form, k: int) -> Form | Fraction:

@@ -6,13 +6,14 @@ exactly when, for each of the Catalan-many antichains of intervals on
 antichain's blocker family.  This module materializes those facets as 0/1
 normals for the double description and the extremeness rank test, and
 decides membership two independent ways: facet evaluation and the
-projection recursion.  Facet evaluation needs no normals: one subset-sum
-(zeta) transform of the coefficients gives every blocker sum as a short
-signed sum, by inclusion-exclusion over the antichain's intervals.  The
-module also enumerates the extreme rays of the cone by double description,
-reproduces them constructively by lifting and convolution, and builds the
-polar cone spanned by the normalized limit flag vectors, whose facets are
-those extreme rays.
+projection recursion, which runs on integer coefficient vectors.  Facet
+evaluation needs no normals: one subset-sum (zeta) transform of the
+coefficients gives every blocker sum as a short signed sum, by
+inclusion-exclusion over the antichain's intervals.  The module also
+enumerates the extreme rays of the cone by double description, reproduces
+them constructively by lifting and convolution, and builds the polar cone
+spanned by the normalized limit flag vectors, whose facets are those
+extreme rays.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Literal, Sequence
 
 from . import ranksets
-from .algebra import Form, _product_vector, _shift_vector, project
+from .algebra import Form, _product_vector, _project_vector, _shift_vector
 from .intervals import (
     AmbientTooLarge,
     IntervalSystem,
     blockers,
     enumerate_antichains,
 )
-from .polyhedra import Ray, Scalar, _independent_rows, canonicalize, dd_rays
+from .polyhedra import (
+    Ray, Scalar, _independent_rows, _primitive, canonicalize, dd_rays,
+)
 from .poset import WitnessSpec
 
 __all__ = [
@@ -237,28 +240,29 @@ def contains_by_projection(F: Form) -> bool:
 
     A degree-1 form is nonnegative exactly when its coefficient is; a
     higher form lies in its cone exactly when every projection with
-    cutoff m in [0, n] lies in the next cone down.
+    cutoff m in [0, n] lies in the next cone down.  The recursion runs on
+    the primitive integer coefficient vector (_primitive): projection is
+    linear, so a positive scaling keeps every projection's sign.
     """
     _check_degree(F)
-    return _projection_rec(F, {})
+    return _projection_rec(_primitive(F.vector()), {})
 
 
-def _projection_rec(G: Form, cache: dict[Form, bool]) -> bool:
-    """The recursion of contains_by_projection, memoized in `cache`.
+def _projection_rec(G: tuple[int, ...], cache: dict[tuple[int, ...], bool]) -> bool:
+    """The recursion of contains_by_projection on an integer coefficient
+    vector, each projection taken by _project_vector, memoized in `cache`.
 
     A module-level function rather than a closure over the cache, so a call
-    leaves no reference cycle and its projected forms are freed on return.
+    leaves no reference cycle and its projected vectors are freed on return.
     """
-    if G.degree == 1:
-        return G.coeff(0) >= 0
+    if len(G) == 1:
+        return G[0] >= 0
     hit = cache.get(G)
     if hit is not None:
         return hit
     verdict = True
-    for m in range(G.degree):
-        image = project(G, m)
-        ok = image >= 0 if isinstance(image, Fraction) else _projection_rec(image, cache)
-        if not ok:
+    for m in range(len(G).bit_length()):
+        if not _projection_rec(_project_vector(G, m), cache):
             verdict = False
             break
     cache[G] = verdict

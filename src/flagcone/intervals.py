@@ -166,13 +166,20 @@ def enumerate_antichains(n: int) -> list[IntervalSystem]:
     if n > 14:
         raise AmbientTooLarge(f"ambient {n} > 14 for antichain enumeration")
     out: list[IntervalSystem] = []
-
-    def rec(lo_min: int, hi_min: int, chosen: list[Interval]) -> None:
-        out.append(IntervalSystem.of(n, chosen))
-        for lo in range(lo_min, n + 1):
-            for hi in range(max(lo, hi_min), n + 1):
-                rec(lo + 1, hi + 1, chosen + [Interval(lo, hi)])
-
-    rec(1, 1, [])
+    _extend_antichain(n, 1, 1, [], out)
     assert len(out) == catalan(n + 1)
     return out
+
+
+def _extend_antichain(
+    n: int, lo_min: int, hi_min: int, chosen: list[Interval], out: list[IntervalSystem]
+) -> None:
+    """The recursion of enumerate_antichains: append the antichain `chosen`
+    to `out`, then each extension by an interval with both endpoints above
+    those of its last one.  A module-level function rather than a closure
+    over `out`, so a call leaves no reference cycle.
+    """
+    out.append(IntervalSystem.of(n, chosen))
+    for lo in range(lo_min, n + 1):
+        for hi in range(max(lo, hi_min), n + 1):
+            _extend_antichain(n, lo + 1, hi + 1, chosen + [Interval(lo, hi)], out)

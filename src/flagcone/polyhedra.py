@@ -124,15 +124,16 @@ class Ray:
 def _primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers; a zero vector stays zero.
 
-    Clears denominators and divides by the gcd, keeping the direction (no
-    sign normalization).  Integer input skips the rational arithmetic.
+    Clears denominators, each entry becoming its numerator times the lcm
+    of the denominators over its own, and divides by the gcd, keeping the
+    direction (no sign normalization).  Integer input skips the
+    denominators and keeps its entries as they are.
     """
     if all(isinstance(x, int) for x in v):
         ints = v
     else:
-        fracs = [Fraction(x) for x in v]
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * scale) for f in fracs]
+        scale = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*ints)
     return tuple([x // g for x in ints]) if g > 1 else tuple(ints)
 

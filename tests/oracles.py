@@ -10,6 +10,9 @@ the tagging rule read off the form by factoring it, which the library
 replaced with tags read off the construction.  trailing_ones_factor and
 leading_ones_factor split off ones forms by factoring; the library reads
 the same convolution exclusion off the integer rays instead.
+project_by_terms is the projection read term by term off a form's
+coefficients, the oracle for the library's projection on coefficient
+vectors.
 """
 
 from __future__ import annotations
@@ -126,6 +129,28 @@ def compress(F: Form) -> Form:
             for s, c in F.terms()
         },
     )
+
+
+def project_by_terms(F: Form, m: int) -> Form | Fraction:
+    """Projection with cutoff m, one term at a time.
+
+    A term holding the top letter n drops it; a term without it survives
+    exactly when m <= 0 or its support meets [m, n-1].  Degree-1 forms
+    project to their scalar coefficient.
+    """
+    n = F.degree - 1
+    if n == 0:
+        return F.coeff(0)
+    top = 1 << (n - 1)
+    window = ranksets.interval_mask(m, n - 1) if 1 <= m <= n - 1 else 0
+    out: dict[int, Fraction] = {}
+    for s, c in F.terms():
+        if s & top:
+            key = s ^ top
+            out[key] = out.get(key, Fraction(0)) + c
+        elif m <= 0 or s & window:
+            out[s] = out.get(s, Fraction(0)) + c
+    return Form(n, out)
 
 
 def trailing_ones_factor(F: Form) -> tuple[Form | Fraction, int]:

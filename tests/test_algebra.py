@@ -36,7 +36,7 @@ from flagcone.poset import (
     WitnessSpec,
 )
 
-from oracles import compress, h_form, random_graded_poset
+from oracles import compress, h_form, project_by_terms, random_graded_poset
 
 f = Form.monomial
 
@@ -336,6 +336,33 @@ class TestProjections:
     def test_degree_one(self):
         assert project(f(1, 0), 0) == 1
         assert project(f(1, 0) * 5, -2) == 5
+
+    @given(st.integers(1, 8), st.booleans(), st.data())
+    @settings(max_examples=60)
+    def test_matches_term_oracle(self, degree, fractional, data):
+        # project and _project_vector against the term-by-term projection,
+        # at every cutoff from -1 to n + 1: values, and value types (ints
+        # stay ints on vectors; forms hold Fractions).
+        size = 1 << (degree - 1)
+        vec = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]),
+                                 min_size=size, max_size=size))
+        if fractional:
+            dens = data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+            vec = [Fraction(c, d) for c, d in zip(vec, dens)]
+        vec = tuple(vec)
+        F = Form.from_vector(degree, vec)
+        for m in range(-1, degree + 1):
+            expected = project_by_terms(F, m)
+            got = project(F, m)
+            assert repr(got) == repr(expected)
+            if degree == 1:
+                assert type(got) is Fraction
+                continue
+            assert got == expected and hash(got) == hash(expected)
+            image = algebra._project_vector(vec, m)
+            assert type(image) is tuple
+            assert image == expected.vector()
+            assert all(type(x) is (Fraction if fractional else int) for x in image)
 
     def test_prefix_restriction(self):
         F = Form(4, {M(1, 2): 1, M(1, 3): 1, M(2): 2})

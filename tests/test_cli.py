@@ -253,6 +253,15 @@ class TestCheck:
         assert code == 1
         assert out == (DATA / "outside-r7.certificate").read_text()
 
+    def test_rank7_in_cone_with_fractions(self, capsys):
+        # A rank-7 form in the cone with non-integer coefficients, so the
+        # projection recursion clears denominators and runs to the end; CI
+        # runs the installed command on the same file.
+        path = str(DATA / "inside-r7.form")
+        code, out = run(capsys, ["check", "--rank", "7", "--form", path])
+        assert code == 0
+        assert out.strip() == "in cone: yes"
+
     def test_rank_mismatch_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "banker.form", BANKER)
         assert main(["check", "--rank", "5", "--form", path]) == 2

@@ -243,8 +243,48 @@ class TestProjectionMembership:
             for entry in extreme_rays(n).rays:
                 assert contains_by_projection(entry.form)
 
+    def test_recursion_sees_only_int_tuples(self, monkeypatch):
+        seen = []
+        project_vector = cone._project_vector
+
+        def spy(vec, m):
+            seen.append(vec)
+            return project_vector(vec, m)
+
+        monkeypatch.setattr(cone, "_project_vector", spy)
+        inside = [BANKER * Fraction(1, 3) + Form(4, {M(2): Fraction(3, 4)})]
+        inside += [e.form * Fraction(2, 7) for e in extreme_rays(3).rays]
+        for F in inside:
+            assert contains_by_projection(F)
+        assert not contains_by_projection(Form(3, {0: Fraction(1, 2), M(2): Fraction(-2, 3)}))
+        assert seen
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in seen)
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_positive_scaling_keeps_verdict(self, degree):
+        rng = random.Random(700 + degree)
+        pool = [e.form for k in range(min(degree, 5)) for e in extreme_rays(k).rays]
+
+        def lifted(F):
+            while F.degree < degree:
+                F = shift(F, rng.randrange(F.degree))
+            return F
+
+        verdicts = set()
+        for i in range(12):
+            F = lifted(rng.choice(pool)) * rng.randint(1, 3) + lifted(rng.choice(pool))
+            if i % 2:
+                F = F - Form.monomial(degree, rng.randrange(1 << (degree - 1)), rng.randint(1, 4))
+            verdict = contains_by_projection(F)
+            assert verdict == bool(contains(F))
+            for _ in range(3):
+                scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                assert contains_by_projection(F * scale) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_call_leaves_no_garbage(self):
-        # The recursion's cache and projected forms must be freed on return
+        # The recursion's cache and projected vectors must be freed on return
         # by reference counting, with no cycle left for the collector.
         F = shift(shift(extreme_rays(4).rays[-1].form, 2), 0) + convolve(
             BANKER, extreme_rays(2).rays[-1].form)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 
@@ -262,6 +263,18 @@ class TestEnumerateAntichains:
     def test_ambient_guard(self):
         with pytest.raises(AmbientTooLarge):
             enumerate_antichains(15)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_call_leaves_no_garbage(self, n):
+        # The recursion and its output list must be freed on return by
+        # reference counting, with no cycle left for the collector.
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_antichains(n)) == catalan(n + 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRankSets:
