@@ -54,9 +54,17 @@ class Form:
         for mask, c in items:
             ranksets.check_mask(mask, degree - 1)
             acc[mask] = acc.get(mask, _ZERO) + Fraction(c)
+        # Integral coefficients in range share the Fractions of
+        # _SMALL_INTEGERS, as in from_vector, so a kept form holds none of
+        # its own for them.
+        small = _SMALL_INTEGERS.get
         object.__setattr__(self, "degree", degree)
         object.__setattr__(
-            self, "_coeffs", {m: c for m, c in sorted(acc.items()) if c}
+            self, "_coeffs",
+            {
+                m: small(c.numerator, c) if c.denominator == 1 else c
+                for m, c in sorted(acc.items()) if c
+            },
         )
 
     def __setattr__(self, name, value):

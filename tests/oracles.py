@@ -12,7 +12,9 @@ leading_ones_factor split off ones forms by factoring; the library reads
 the same convolution exclusion off the integer rays instead.
 project_by_terms is the projection read term by term off a form's
 coefficients, the oracle for the library's projection on coefficient
-vectors.
+vectors.  partition_by_first_atoms tests every (chain, rank set) pair one
+rank at a time, the oracle for the library's chain partition on rank-set
+bitsets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import Sequence
 from flagcone import ranksets
 from flagcone.algebra import Form, ZeroForm, factor_once
 from flagcone.cone import ExtremeReport, Tag, form_to_ray
-from flagcone.poset import GradedPoset, WitnessSpec, validate
+from flagcone.poset import (
+    GradedPoset, WitnessSpec, first_atom, next_selected_rank, validate,
+)
 
 
 def random_graded_poset(rank: int, seed: int = 0) -> GradedPoset:
@@ -151,6 +155,38 @@ def project_by_terms(F: Form, m: int) -> Form | Fraction:
         elif m <= 0 or s & window:
             out[s] = out.get(s, Fraction(0)) + c
     return Form(n, out)
+
+
+def partition_by_first_atoms(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
+    """The classes F_S straight from their definition.
+
+    For every maximal chain and every rank set S, test at each rank i that
+    the chain's rank-i element is the first atom of the interval from its
+    predecessor up to the chain element at the next S-selected rank, first
+    atoms memoized per pair.
+    """
+    n = P.n
+    atom_cache: dict[tuple[str, str], str] = {}
+
+    def phi(p: str, q: str) -> str:
+        key = (p, q)
+        got = atom_cache.get(key)
+        if got is None:
+            got = atom_cache[key] = first_atom(P, p, q)
+        return got
+
+    out: dict[int, list[tuple[str, ...]]] = {m: [] for m in range(1 << n)}
+    for chain in P.maximal_chains():
+        for mask in range(1 << n):
+            ok = True
+            for i in range(1, n + 1):
+                j = next_selected_rank(mask, i, n)
+                if chain[i] != phi(chain[i - 1], chain[j]):
+                    ok = False
+                    break
+            if ok:
+                out[mask].append(chain)
+    return {m: tuple(cs) for m, cs in out.items()}
 
 
 def trailing_ones_factor(F: Form) -> tuple[Form | Fraction, int]:

@@ -110,6 +110,23 @@ class TestForm:
         assert (-G).coeff(M(2)) == -2
         assert (G / 2).coeff(M(2)) == 1
 
+    def test_results_share_small_integers(self):
+        # Arithmetic results hold the shared Fraction of each integral
+        # coefficient in [-16, 16].
+        shared = algebra._SMALL_INTEGERS
+        F = Form(4, {0: 1, M(1): Fraction(3), M(2): Fraction(1, 2), M(3): 40})
+        G = Form(4, {0: 2, M(2): Fraction(1, 2), M(1, 2): -7})
+        results = [F, G, F + G, F - G, -F, F * 3, G / 2, F * Fraction(2, 3),
+                   Form.monomial(4, M(1, 3), -16)]
+        for H in results:
+            for _, c in H.terms():
+                if c.denominator == 1 and -16 <= c <= 16:
+                    assert c is shared[int(c)], (H, c)
+        assert repr(F + G) == (
+            "Form(4, {0: Fraction(3, 1), 1: Fraction(3, 1), 2: Fraction(1, 1),"
+            " 3: Fraction(-7, 1), 4: Fraction(40, 1)})"
+        )
+
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             f(2, 0) + f(3, 0)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from flagcone import ranksets
+from flagcone import poset, ranksets
 from flagcone.cone import facet_system
 from flagcone.intervals import (
     MAX_AMBIENT, AmbientTooLarge, Interval, IntervalSystem, blockers, is_blocker,
@@ -32,7 +32,9 @@ from flagcone.poset import (
     witness_poset,
 )
 
-from oracles import order_closure, pairwise_witness, random_graded_poset
+from oracles import (
+    order_closure, pairwise_witness, partition_by_first_atoms, random_graded_poset,
+)
 
 DIAMOND = (
     [("0", 0), ("a", 1), ("b", 1), ("1", 2)],
@@ -281,6 +283,16 @@ class TestNextSelectedRank:
         assert next_selected_rank(s, 5, 4) == 5
         assert next_selected_rank(0, 1, 4) == 5
 
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_rank_set_bitsets(self, n):
+        sel = poset._next_rank_sets(n)
+        assert len(sel) == n + 1 and sel[0] == ()
+        for i in range(1, n + 1):
+            assert len(sel[i]) == n + 2 - i
+            for S in range(1 << n):
+                hits = [j for j in range(i, n + 2) if sel[i][j - i] >> S & 1]
+                assert hits == [next_selected_rank(S, i, n)]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             next_selected_rank(0, 0, 3)
@@ -355,6 +367,32 @@ class TestChainPartition:
                 members = blockers(system).members
                 for mask in range(1 << P.n):
                     assert (chain in classes[mask]) == (mask in members)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_first_atom_oracle(self, seed):
+        # Equal dicts of equal tuples: the same classes, chains in the
+        # same order.
+        rng = random.Random(seed)
+        P = random_graded_poset(rng.randint(2, 5), seed=seed + 300)
+        for Q in [P] + [sample_numbering(P, rng) for _ in range(3)]:
+            assert partition_classes(Q) == partition_by_first_atoms(Q)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_witnesses_match_first_atom_oracle(self, n):
+        rng = random.Random(n)
+        every = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        for _ in range(8):
+            k = rng.randint(0, min(3, len(every)))
+            sys_ = IntervalSystem.of(n, rng.sample(every, k))
+            P = witness_poset(WitnessSpec(n, sys_, rng.randint(1, 3)))
+            assert partition_classes(P) == partition_by_first_atoms(P), sys_
+
+    def test_rank7_witness_with_4096_chains(self):
+        spec = WitnessSpec(6, IntervalSystem.parse("[1,2]+[3,4]+[5,6]", 6), 16)
+        classes = partition_classes(witness_poset(spec))
+        for mask, chains in classes.items():
+            assert len(chains) == spec.predicted_flag_number(mask)
+        assert len(classes[(1 << 6) - 1]) == 4096
 
 
 class TestRandomPoset:
