@@ -200,7 +200,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
             f"f={vec[mask]} {'ok' if match else 'MISMATCH'}"
         )
     print(f"partition valid: {'yes' if ok else 'NO'}")
-    for chain in P.maximal_chains():
+    # The full rank set blocks every system: its class is every chain.
+    for chain in classes[(1 << P.n) - 1]:
         system = chain_interval_system(P, chain)
         print(f"chain {' < '.join(chain)} : {system}")
     return 0 if ok else 2

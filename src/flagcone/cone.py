@@ -125,9 +125,9 @@ def facet_system(n: int) -> FacetSystem:
 
 
 @lru_cache(maxsize=None)
-def _facet_terms(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per antichain, in facet order, the subset sums its blocker sum adds
-    (`plus`) and subtracts (`minus`).
+def _facet_terms(n: int) -> tuple[tuple[IntervalSystem, tuple[int, ...], tuple[int, ...]], ...]:
+    """Per antichain, in facet order, the antichain with the subset sums its
+    blocker sum adds (`plus`) and subtracts (`minus`).
 
     A rank set blocks the antichain I exactly when it meets every interval,
     so by inclusion-exclusion over the subsets J of I the blocker sum is
@@ -151,7 +151,7 @@ def _facet_terms(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         minus: list[int] = []
         for u, c in sorted(unions.items()):
             (plus if c > 0 else minus).extend([full ^ u] * abs(c))
-        terms.append((tuple(plus), tuple(minus)))
+        terms.append((sys_, tuple(plus), tuple(minus)))
     return tuple(terms)
 
 
@@ -171,7 +171,7 @@ def _facet_values(vec: Sequence[Scalar], n: int) -> Iterator[Scalar]:
             for T in range(base, base + bit):
                 g[T] += g[T ^ bit]
     get = g.__getitem__
-    for plus, minus in _facet_terms(n):
+    for _, plus, minus in _facet_terms(n):
         yield sum(map(get, plus)) - sum(map(get, minus))
 
 
@@ -212,12 +212,12 @@ def contains(F: Form) -> MembershipResult:
 
     Evaluates the blocker sum of each facet antichain in canonical order,
     from the subset sums of the form's coefficients (_facet_values), and
-    stops at the first negative one.  On failure the result carries that
+    stops at the first negative one.  The antichains come with their term
+    lists (_facet_terms), so no facet normal is built.  On failure the result carries that
     antichain and a concrete witness recipe; see MembershipResult.
     """
     n = _check_degree(F)
-    fs = facet_system(n)
-    for (sys_, _), value in zip(fs.facets, _facet_values(F.vector(), n)):
+    for (sys_, _, _), value in zip(_facet_terms(n), _facet_values(F.vector(), n)):
         if value < 0:
             witness = None
             witness_value = None

@@ -10,7 +10,9 @@ the chains whose rank set is exactly S.  The module also builds the witness
 posets P(n, I, N) whose flag numbers are powers of N determined by which
 ranks meet the intervals of I, and implements the chain partition that maps
 every maximal chain C to an interval system I_C such that C lands in the
-class F_S exactly when S blocks I_C.
+class F_S exactly when S blocks I_C: partition_classes reads I_C once per
+chain and files the chain under each member of its blocker family.  First
+atoms, the only test the partition makes, are memoized on the poset.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import ranksets
-from .intervals import Interval, IntervalSystem, _check_ambient
+from .intervals import IntervalSystem, _check_ambient, blockers
 
 
 class PosetValidationError(ValueError):
@@ -44,7 +45,8 @@ class GradedPoset:
     read "first" in that order.
     """
 
-    __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down", "_reach_cache")
+    __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down",
+                 "_reach_cache", "_atom_cache")
 
     def __init__(
         self,
@@ -60,6 +62,7 @@ class GradedPoset:
         self._up = dict(up)
         self._down = dict(down)
         self._reach_cache: dict[tuple[int, int], list[int]] = {}
+        self._atom_cache: dict[tuple[str, str], str] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -388,12 +391,16 @@ def first_atom(P: GradedPoset, p: str, q: str) -> str:
 
     Atoms are the covers of p that stay below q; the earliest is the one
     of least P.position.  To order a level differently, build the poset
-    with that level's elements in the wanted order.
+    with that level's elements in the wanted order.  Answers are memoized
+    on the poset; a pair with p < q failing raises NotComparable each time.
     """
-    if not P.lt(p, q):
-        raise NotComparable(f"{p!r} < {q!r} fails")
-    atoms = [z for z in P.up_covers(p) if P.le(z, q)]
-    return min(atoms, key=P.position)
+    got = P._atom_cache.get((p, q))
+    if got is None:
+        if not P.lt(p, q):
+            raise NotComparable(f"{p!r} < {q!r} fails")
+        atoms = (z for z in P.up_covers(p) if P.le(z, q))
+        got = P._atom_cache[(p, q)] = min(atoms, key=P.position)
+    return got
 
 
 def chain_interval_system(P: GradedPoset, chain: Sequence[str]) -> IntervalSystem:
@@ -404,53 +411,30 @@ def chain_interval_system(P: GradedPoset, chain: Sequence[str]) -> IntervalSyste
     rank-j element; ranks whose j falls short of the top contribute the
     interval [i, j].
     """
-    n = P.n
-    _check_maximal_chain(P, chain)
-    out = []
-    for i in range(1, n + 1):
-        psi = i
-        for j in range(n + 1, i - 1, -1):
-            if chain[i] == first_atom(P, chain[i - 1], chain[j]):
-                psi = j
-                break
-        if psi != n + 1:
-            out.append(Interval(i, psi))
-    return IntervalSystem.of(n, out)
-
-
-def _check_maximal_chain(P: GradedPoset, chain: Sequence[str]) -> None:
     if len(chain) != P.rank + 1:
         raise ValueError(f"chain length {len(chain)} != rank + 1 = {P.rank + 1}")
     for lo, hi in zip(chain, chain[1:]):
         if hi not in P.up_covers(lo):
             raise ValueError(f"({lo!r}, {hi!r}) is not a cover")
+    return _system_of(P.n, _psi(P, chain))
 
 
-@lru_cache(maxsize=None)
-def _next_rank_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row i, for i = 1..n, holds at j - i the rank sets S with
-    next_selected_rank(S, i, n) == j, for j = i..n+1, as one 2**n-bit int
-    with bit S standing for the rank set of mask S.  Row 0 is empty.
-
-    The rank sets holding rank r are those whose mask, taken modulo 2**r,
-    is at least 2**(r-1): a block of 2**(r-1) ones in every period of
-    2**r bits.  At n = 6 this is 27 ints of 64 bits.
-    """
-    full = (1 << (1 << n)) - 1
-    holds = [0]
-    for r in range(1, n + 1):
-        half = 1 << (r - 1)
-        holds.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
-    rows: list[tuple[int, ...]] = [()]
+def _psi(P: GradedPoset, chain: Sequence[str]) -> tuple[int, ...]:
+    """psi_i for i = 1..n, the j of chain_interval_system, scanning j down
+    from n+1; j = i passes as a cover is the only atom below itself."""
+    n = P.n
+    out = []
     for i in range(1, n + 1):
-        row = []
-        skipping = full  # rank sets selecting none of i..j-1
-        for j in range(i, n + 1):
-            row.append(skipping & holds[j])
-            skipping &= ~holds[j]
-        row.append(skipping)
-        rows.append(tuple(row))
-    return tuple(rows)
+        p, x = chain[i - 1], chain[i]
+        j = n + 1
+        while j > i and first_atom(P, p, chain[j]) != x:
+            j -= 1
+        out.append(j)
+    return tuple(out)
+
+
+def _system_of(n: int, psi: tuple[int, ...]) -> IntervalSystem:
+    return IntervalSystem.of(n, [(i, j) for i, j in enumerate(psi, 1) if j <= n])
 
 
 def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
@@ -458,48 +442,34 @@ def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
 
     A chain C belongs to F_S when each of its elements is the first atom of
     the interval from its predecessor up to the chain element at the next
-    S-selected rank.  The class sizes reproduce the flag numbers, and
-    membership is equivalent to S blocking chain_interval_system(C).
+    S-selected rank.  That holds exactly when S blocks
+    chain_interval_system(C), so each chain joins every class in the
+    blocker family of its system, built once per distinct system.  The
+    class sizes reproduce the flag numbers.
 
-    Each chain marks, per rank i, the j in [i, n+1] whose first-atom test
-    passes (first atoms memoized per pair), and its classes are the rank
-    sets that pass at every i: an AND over i of ORs of the 2**n-bit sets
-    of _next_rank_sets.  That is chains x n(n+1)/2 dictionary lookups and
-    big-int operations, instead of chains x 2**n x n first-atom steps; a
-    4,096-chain rank-7 witness takes about 0.06 s where testing each rank
-    set took 0.7 s (2-vCPU x86-64, CPython 3.11).  Classes list their
-    chains in maximal_chains order.  The rank-set bitsets have 2**n bits,
-    so an ambient above intervals.MAX_AMBIENT is refused with
-    AmbientTooLarge.
+    Why: at rank i, with p = chain[i-1], the j whose test passes form the
+    interval [i, psi_i].  For i <= j' <= j the atoms of [p, chain[j']] are
+    among those of [p, chain[j]], chain[i] included, so an atom first in
+    the larger interval is first in the smaller one.  The next S-selected
+    rank from i thus passes exactly when psi_i = n+1 or S meets [i, psi_i].
+
+    That is at most n(n+1)/2 first atoms per chain, memoized on P, and one
+    append per (chain, class); a 4,096-chain rank-7 witness takes about
+    0.04 s in process (2-vCPU x86-64, CPython 3.11).  Classes list their
+    chains in maximal_chains order.  An ambient above intervals.MAX_AMBIENT
+    is refused with AmbientTooLarge.
     """
     n = P.n
     _check_ambient(n)
-    sel = _next_rank_sets(n)
-    atom_cache: dict[tuple[str, str], str] = {}
-
-    def phi(p: str, q: str) -> str:
-        key = (p, q)
-        got = atom_cache.get(key)
-        if got is None:
-            got = atom_cache[key] = first_atom(P, p, q)
-        return got
-
-    full = (1 << (1 << n)) - 1
+    families: dict[tuple[int, ...], frozenset[int]] = {}
     out: dict[int, list[tuple[str, ...]]] = {m: [] for m in range(1 << n)}
     for chain in P.maximal_chains():
-        member = full
-        for i in range(1, n + 1):
-            p, x, row = chain[i - 1], chain[i], sel[i]
-            # j = i always passes: a cover is the only atom below itself.
-            passing = row[0]
-            for j in range(i + 1, n + 2):
-                if x == phi(p, chain[j]):
-                    passing |= row[j - i]
-            member &= passing
-        while member:
-            low = member & -member
-            out[low.bit_length() - 1].append(chain)
-            member ^= low
+        psi = _psi(P, chain)
+        members = families.get(psi)
+        if members is None:
+            members = families[psi] = blockers(_system_of(n, psi)).members
+        for mask in members:
+            out[mask].append(chain)
     return {m: tuple(cs) for m, cs in out.items()}
 
 

@@ -13,12 +13,14 @@ the same convolution exclusion off the integer rays instead.
 project_by_terms is the projection read term by term off a form's
 coefficients, the oracle for the library's projection on coefficient
 vectors.  partition_by_first_atoms tests every (chain, rank set) pair one
-rank at a time, the oracle for the library's chain partition on rank-set
-bitsets.
+rank at a time, with first atoms read off the order and not through
+poset.first_atom or its memo, the oracle for the library's chain partition
+by blocker families.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -30,7 +32,7 @@ from flagcone import ranksets
 from flagcone.algebra import Form, ZeroForm, factor_once
 from flagcone.cone import ExtremeReport, Tag, form_to_ray
 from flagcone.poset import (
-    GradedPoset, WitnessSpec, first_atom, next_selected_rank, validate,
+    GradedPoset, WitnessSpec, next_selected_rank, validate,
 )
 
 
@@ -163,17 +165,14 @@ def partition_by_first_atoms(P: GradedPoset) -> dict[int, tuple[tuple[str, ...],
     For every maximal chain and every rank set S, test at each rank i that
     the chain's rank-i element is the first atom of the interval from its
     predecessor up to the chain element at the next S-selected rank, first
-    atoms memoized per pair.
+    atoms taken as the least-positioned cover of the predecessor below the
+    target.
     """
     n = P.n
-    atom_cache: dict[tuple[str, str], str] = {}
 
+    @functools.cache
     def phi(p: str, q: str) -> str:
-        key = (p, q)
-        got = atom_cache.get(key)
-        if got is None:
-            got = atom_cache[key] = first_atom(P, p, q)
-        return got
+        return min((z for z in P.up_covers(p) if P.le(z, q)), key=P.position)
 
     out: dict[int, list[tuple[str, ...]]] = {m: [] for m in range(1 << n)}
     for chain in P.maximal_chains():

@@ -431,6 +431,18 @@ class TestPartition:
         P = parse_poset((tmp_path / "w.poset").read_text())
         assert len(chain_lines) == len(P.maximal_chains())
 
+    def test_rank7_witness_digest(self, capsys, tmp_path):
+        # The 4,096-chain rank-7 witness, 499,900 bytes of stdout pinned
+        # byte for byte: class lines, then every chain with its system.
+        path = str(tmp_path / "w16.poset")
+        run(capsys, ["witness", "--rank", "7", "--intervals", "[1,2]+[3,4]+[5,6]",
+                     "--N", "16", "--emit-poset", path])
+        code, out = run(capsys, ["partition", "--poset", path])
+        assert code == 0
+        assert len(out.encode()) == 499900
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "24884a2d0e5643382450d4b16e2bbdfc4aa9cb5a2231af6cf046e6ca1d12df69")
+
     def test_random_poset(self, capsys, tmp_path):
         P = random_graded_poset(4, seed=11)
         path = write(tmp_path / "r.poset", format_poset(P))

@@ -142,8 +142,8 @@ class TestFacetValues:
         # 9.4 terms per facet at rank 7 and 13.1 at rank 8, against 23.8
         # and 44.2 nonzeros in the 0/1 normals.
         lists = cone._facet_terms(n)
-        assert len(lists) == catalan(n + 1)
-        assert sum(len(plus) + len(minus) for plus, minus in lists) == terms
+        assert [sys_ for sys_, _, _ in lists] == enumerate_antichains(n)
+        assert sum(len(plus) + len(minus) for _, plus, minus in lists) == terms
 
 
 class TestContains:
@@ -925,6 +925,15 @@ class TestPinnedOutputs:
         text = "\n".join(repr(contains(F)) for F in forms)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f4650172af458ce3be7d2af0179118927ed610f92c93c195f38a3fa0afe8c6d2")
+
+    def test_rank7_membership_builds_no_facet_system(self):
+        # contains names the violated antichain from _facet_terms, so no
+        # facet normal is built, inside the cone or outside it.
+        forms = self.rank7_forms(8)
+        facet_system.cache_clear()
+        results = [contains(F) for F in forms]
+        assert [bool(r) for r in results] == [i % 4 != 3 for i in range(8)]
+        assert facet_system.cache_info().currsize == 0
 
     @staticmethod
     def rank7_frontier(count: int) -> list:

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from flagcone import poset, ranksets
+from flagcone import ranksets
 from flagcone.cone import facet_system
 from flagcone.intervals import (
     MAX_AMBIENT, AmbientTooLarge, Interval, IntervalSystem, blockers, is_blocker,
@@ -283,16 +283,6 @@ class TestNextSelectedRank:
         assert next_selected_rank(s, 5, 4) == 5
         assert next_selected_rank(0, 1, 4) == 5
 
-    @pytest.mark.parametrize("n", range(0, 7))
-    def test_rank_set_bitsets(self, n):
-        sel = poset._next_rank_sets(n)
-        assert len(sel) == n + 1 and sel[0] == ()
-        for i in range(1, n + 1):
-            assert len(sel[i]) == n + 2 - i
-            for S in range(1 << n):
-                hits = [j for j in range(i, n + 2) if sel[i][j - i] >> S & 1]
-                assert hits == [next_selected_rank(S, i, n)]
-
     def test_bad_args(self):
         with pytest.raises(ValueError):
             next_selected_rank(0, 0, 3)
@@ -312,6 +302,16 @@ class TestFirstAtom:
             first_atom(fig_poset, "(1;1,*)", "(1;2,*)")
         with pytest.raises(NotComparable):
             first_atom(fig_poset, fig_poset.bottom, fig_poset.bottom)
+
+    def test_not_comparable_after_memo_fills(self, fig_poset):
+        # Only answers are memoized, so a bad pair raises on every call.
+        partition_classes(fig_poset)
+        assert first_atom(fig_poset, fig_poset.bottom, fig_poset.top) == "(1;1,*)"
+        for _ in range(2):
+            with pytest.raises(NotComparable):
+                first_atom(fig_poset, "(1;1,*)", "(1;2,*)")
+            with pytest.raises(NotComparable):
+                first_atom(fig_poset, fig_poset.top, fig_poset.bottom)
 
     def test_numbering_override(self, fig_poset):
         P = validate(
@@ -368,14 +368,48 @@ class TestChainPartition:
                 for mask in range(1 << P.n):
                     assert (chain in classes[mask]) == (mask in members)
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), "rank1", "diamond"])
     def test_matches_first_atom_oracle(self, seed):
         # Equal dicts of equal tuples: the same classes, chains in the
-        # same order.
+        # same order.  The rank-1 poset has n = 0 and the one class {}.
         rng = random.Random(seed)
-        P = random_graded_poset(rng.randint(2, 5), seed=seed + 300)
+        if seed == "rank1":
+            P = validate([("0", 0), ("1", 1)], [("0", "1")])
+            assert partition_classes(P) == {0: (("0", "1"),)}
+        elif seed == "diamond":
+            P = validate(*DIAMOND)
+        else:
+            P = random_graded_poset(rng.randint(2, 5), seed=seed + 300)
         for Q in [P] + [sample_numbering(P, rng) for _ in range(3)]:
             assert partition_classes(Q) == partition_by_first_atoms(Q)
+
+    @staticmethod
+    def assert_passing_ranks_are_intervals(P: GradedPoset) -> None:
+        # The lemma partition_classes rests on: at rank i the j in [i, n+1]
+        # whose first-atom test passes are exactly [i, psi_i].
+        n = P.n
+        for chain in P.maximal_chains():
+            psi = {iv.lo: iv.hi for iv in chain_interval_system(P, chain)}
+            for i in range(1, n + 1):
+                passing = [j for j in range(i, n + 2)
+                           if first_atom(P, chain[i - 1], chain[j]) == chain[i]]
+                assert passing == list(range(i, psi.get(i, n + 1) + 1))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_passing_ranks_form_an_interval(self, seed):
+        rng = random.Random(seed)
+        P = random_graded_poset(rng.randint(2, 5), seed=seed + 500)
+        for Q in [P] + [sample_numbering(P, rng) for _ in range(2)]:
+            self.assert_passing_ranks_are_intervals(Q)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_witness_passing_ranks_form_an_interval(self, n):
+        rng = random.Random(n + 40)
+        every = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        for _ in range(6):
+            sys_ = IntervalSystem.of(n, rng.sample(every, rng.randint(0, min(3, len(every)))))
+            self.assert_passing_ranks_are_intervals(
+                witness_poset(WitnessSpec(n, sys_, rng.randint(1, 3))))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_witnesses_match_first_atom_oracle(self, n):
