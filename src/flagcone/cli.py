@@ -49,6 +49,10 @@ WITNESS_N_CAP = 64
 WITNESS_K_CAP = 4
 WITNESS_RANK_CAP = 10
 WITNESS_ELEMENT_CAP = 4096
+# partition files every maximal chain under up to 2**(rank - 1) rank sets
+# and scans that many sets once per distinct chain system, so it refuses a
+# poset whose chain count times 2**(rank - 1) is above this.
+PARTITION_WORK_CAP = 1 << 20
 
 
 def _h_text(F: Form) -> str:
@@ -189,6 +193,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     P = parse_poset(_read_text(args.poset))
     vec = flag_vector(P)
+    # The full rank set's flag number counts the maximal chains.
+    chains = vec[(1 << P.n) - 1]
+    if chains << P.n > PARTITION_WORK_CAP:
+        raise ValueError(
+            f"{chains} maximal chains times {1 << P.n} rank sets exceed "
+            f"the partition cap {PARTITION_WORK_CAP}"
+        )
     classes = partition_classes(P)
     ok = True
     for mask in ranksets.subsets(P.n):

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from . import ranksets
@@ -39,10 +41,12 @@ class NotComparable(ValueError):
 
 
 class GradedPoset:
-    """Validated graded poset.  Build through validate() or the constructors.
+    """Validated graded poset.  Build through validate(), witness_poset() or dual().
 
     Levels keep the input order of elements; the chain-partition operators
-    read "first" in that order.
+    read "first" in that order.  Covers are stored in position order: each
+    element's upper and lower covers are listed as they stand in their
+    level, so the first cover that passes a test is the earliest one.
     """
 
     __slots__ = ("rank", "_levels", "_rank_of", "_pos", "_up", "_down",
@@ -50,17 +54,22 @@ class GradedPoset:
 
     def __init__(
         self,
-        rank: int,
         levels: tuple[tuple[str, ...], ...],
-        up: Mapping[str, tuple[str, ...]],
-        down: Mapping[str, tuple[str, ...]],
+        up: Mapping[str, Iterable[str]],
     ):
-        self.rank = rank
+        """Derive every map from the levels and the upper covers, whose
+        elements and rank steps the caller has already checked."""
+        self.rank = len(levels) - 1
         self._levels = levels
         self._rank_of = {x: r for r, lvl in enumerate(levels) for x in lvl}
-        self._pos = {x: i for lvl in levels for i, x in enumerate(lvl)}
-        self._up = dict(up)
-        self._down = dict(down)
+        pos = self._pos = {x: i for lvl in levels for i, x in enumerate(lvl)}
+        self._up = {x: tuple(sorted(up.get(x, ()), key=pos.__getitem__))
+                    for x in self._rank_of}
+        down: dict[str, list[str]] = {x: [] for x in self._rank_of}
+        for x, ys in self._up.items():
+            for y in ys:
+                down[y].append(x)
+        self._down = {x: tuple(xs) for x, xs in down.items()}
         self._reach_cache: dict[tuple[int, int], list[int]] = {}
         self._atom_cache: dict[tuple[str, str], str] = {}
 
@@ -128,23 +137,22 @@ class GradedPoset:
         """For each element of level r, the bitmask of level-s elements above it.
 
         Bit i stands for the level-s element at position i.  Memoized per
-        rank pair; these masks are the order relation (lt, le) and power
-        the flag-number dynamic program.
+        rank pair, each one level step from reach(r + 1, s); these masks are
+        the order relation (lt, le) and power the flag-number dynamic
+        program.
         """
         if not (0 <= r < s <= self.rank):
             raise ValueError(f"bad rank pair ({r}, {s})")
         cached = self._reach_cache.get((r, s))
-        if cached is not None:
-            return cached
-        cur = {x: 1 << i for i, x in enumerate(self._levels[s])}
-        for t in range(s - 1, r - 1, -1):
-            cur = {
-                x: _or_all(cur[y] for y in self._up.get(x, ()))
-                for x in self._levels[t]
-            }
-        out = [cur[x] for x in self._levels[r]]
-        self._reach_cache[(r, s)] = out
-        return out
+        if cached is None:
+            above = (self.reach(r + 1, s) if r + 1 < s
+                     else [1 << i for i in range(len(self._levels[s]))])
+            pos = self._pos
+            cached = self._reach_cache[(r, s)] = [
+                reduce(or_, [above[pos[y]] for y in self._up[x]], 0)
+                for x in self._levels[r]
+            ]
+        return cached
 
     def maximal_chains(self) -> list[tuple[str, ...]]:
         """All bottom-to-top chains through consecutive covers, in DFS order."""
@@ -162,13 +170,6 @@ class GradedPoset:
 
     def __repr__(self) -> str:
         return f"GradedPoset(rank={self.rank}, elements={len(self)})"
-
-
-def _or_all(masks) -> int:
-    m = 0
-    for v in masks:
-        m |= v
-    return m
 
 
 def validate(
@@ -208,7 +209,6 @@ def validate(
             "NoUniqueTop", f"{len(levels_mut[rank])} elements at top rank {rank}"
         )
     up: dict[str, list[str]] = {x: [] for x in rank_of}
-    down: dict[str, list[str]] = {x: [] for x in rank_of}
     seen: set[tuple[str, str]] = set()
     for lo, hi in covers:
         if lo not in rank_of or hi not in rank_of:
@@ -224,21 +224,17 @@ def validate(
             continue
         seen.add((lo, hi))
         up[lo].append(hi)
-        down[hi].append(lo)
+    P = GradedPoset(tuple(map(tuple, levels_mut)), up)
     for x, r in rank_of.items():
-        if r < rank and not up[x]:
+        if r < rank and not P.up_covers(x):
             raise PosetValidationError(
                 "DanglingElement", f"{x!r} has no upper cover"
             )
-        if r > 0 and not down[x]:
+        if r > 0 and not P.down_covers(x):
             raise PosetValidationError(
                 "DanglingElement", f"{x!r} has no lower cover"
             )
-    levels = tuple(tuple(lvl) for lvl in levels_mut)
-    pos = {x: i for lvl in levels for i, x in enumerate(lvl)}
-    up_t = {x: tuple(sorted(ys, key=pos.__getitem__)) for x, ys in up.items()}
-    down_t = {x: tuple(sorted(ys, key=pos.__getitem__)) for x, ys in down.items()}
-    return GradedPoset(rank, levels, up_t, down_t)
+    return P
 
 
 # -- flag numbers ----------------------------------------------------------
@@ -322,7 +318,8 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
     of the next rank is the wildcard outside its interval, fixed where the
     element holds a value, and free in [1, N] where it holds the wildcard.
     One product over those choices lists them in the next rank's order, so
-    no pair that is not a cover is ever tested.
+    no pair that is not a cover is ever tested, and the poset is built
+    without validate(): it is graded by construction.
     """
     n, N = spec.n, spec.N
     ivs = spec.intervals.intervals
@@ -340,9 +337,8 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
     for i in range(n + 2):
         axes = [free if iv.lo <= i <= iv.hi else (None,) for iv in ivs]
         levels.append({p: name(i, p) for p in itertools.product(*axes)})
-    elements = [(x, i) for i, level in enumerate(levels) for x in level.values()]
 
-    covers: list[tuple[str, str]] = []
+    up: dict[str, list[str]] = {}
     for i in range(n + 1):
         upper = levels[i + 1]
         inside = [iv.lo <= i + 1 <= iv.hi for iv in ivs]
@@ -351,8 +347,8 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
                 (None,) if not inn else free if a is None else (a,)
                 for a, inn in zip(p, inside)
             ]
-            covers.extend((x, upper[q]) for q in itertools.product(*axes))
-    return validate(elements, covers)
+            up[x] = [upper[q] for q in itertools.product(*axes)]
+    return GradedPoset(tuple(tuple(lvl.values()) for lvl in levels), up)
 
 
 # -- duality ---------------------------------------------------------------
@@ -360,10 +356,7 @@ def witness_poset(spec: WitnessSpec) -> GradedPoset:
 
 def dual(P: GradedPoset) -> GradedPoset:
     """Turn the poset upside down; element order within levels is kept."""
-    levels = tuple(reversed(P._levels))
-    up = {x: P.down_covers(x) for x in P.elements}
-    down = {x: P.up_covers(x) for x in P.elements}
-    return GradedPoset(P.rank, levels, up, down)
+    return GradedPoset(P._levels[::-1], P._down)
 
 
 def reflect_mask(mask: int, n: int) -> int:
@@ -390,16 +383,18 @@ def first_atom(P: GradedPoset, p: str, q: str) -> str:
     """Earliest atom of the interval [p, q] in within-level order.
 
     Atoms are the covers of p that stay below q; the earliest is the one
-    of least P.position.  To order a level differently, build the poset
-    with that level's elements in the wanted order.  Answers are memoized
-    on the poset; a pair with p < q failing raises NotComparable each time.
+    of least P.position, the first such cover since covers are stored in
+    position order.  To order a level differently, build the poset with
+    that level's elements in the wanted order.  Answers are memoized on
+    the poset; a pair with p < q failing has no atom and raises
+    NotComparable each time.
     """
     got = P._atom_cache.get((p, q))
     if got is None:
-        if not P.lt(p, q):
+        got = next((z for z in P.up_covers(p) if P.le(z, q)), None)
+        if got is None:
             raise NotComparable(f"{p!r} < {q!r} fails")
-        atoms = (z for z in P.up_covers(p) if P.le(z, q))
-        got = P._atom_cache[(p, q)] = min(atoms, key=P.position)
+        P._atom_cache[(p, q)] = got
     return got
 
 
@@ -454,8 +449,9 @@ def partition_classes(P: GradedPoset) -> dict[int, tuple[tuple[str, ...], ...]]:
     rank from i thus passes exactly when psi_i = n+1 or S meets [i, psi_i].
 
     That is at most n(n+1)/2 first atoms per chain, memoized on P, and one
-    append per (chain, class); a 4,096-chain rank-7 witness takes about
-    0.04 s in process (2-vCPU x86-64, CPython 3.11).  Classes list their
+    append per (chain, class); a freshly parsed 4,096-chain rank-7 witness
+    takes 0.027 s in process (median of twenty runs, 2-vCPU x86-64,
+    CPython 3.11.7, BENCH_28.json).  Classes list their
     chains in maximal_chains order.  An ambient above intervals.MAX_AMBIENT
     is refused with AmbientTooLarge.
     """

@@ -450,6 +450,80 @@ class TestPartition:
         assert code == 0
         assert "partition valid: yes" in out
 
+    def test_wide_witness_digest(self, capsys, tmp_path):
+        # The 4,034-element rank-3 witness: its bottom has 3,969 covers,
+        # and its 3,969 chains are pinned byte for byte.
+        path = str(tmp_path / "wide.poset")
+        run(capsys, ["witness", "--rank", "3", "--intervals", "[1,2]+[1,1]",
+                     "--N", "63", "--emit-poset", path])
+        code, out = run(capsys, ["partition", "--poset", path])
+        assert code == 0
+        assert len(out.splitlines()) == 3974
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3d778d0090cd34cab73efe57b2706d35291db2b925f50871f40a1abea7bdb5e9")
+
+    @staticmethod
+    def complete_levels(rank: int) -> str:
+        """Poset file: two elements per proper level, each level joined to
+        the next by every cover, so 2 ** (rank - 1) maximal chains."""
+        levels = [["0"]] + [[f"a{r}", f"b{r}"] for r in range(1, rank)] + [["1"]]
+        lines = [f"poset rank={rank}"]
+        lines += [f"elem {x} {r}" for r, lvl in enumerate(levels) for x in lvl]
+        lines += [f"cover {x} {y}" for lo, hi in zip(levels, levels[1:])
+                  for x in lo for y in hi]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def forbid_chains(monkeypatch):
+        def boom(*args):
+            raise AssertionError("maximal chains enumerated")
+
+        monkeypatch.setattr(cli, "partition_classes", boom)
+        monkeypatch.setattr(poset.GradedPoset, "maximal_chains", boom)
+
+    @pytest.mark.parametrize("source, chains, rank_sets", [
+        ("witness", 64**4, 2**9),
+        ("complete", 2**13, 2**13),
+    ])
+    def test_work_cap(self, capsys, monkeypatch, tmp_path, source, chains, rank_sets):
+        # Chains times 2 ** (rank - 1) is checked right after the flag
+        # vector, before any chain is enumerated.  The rank-10 witness is
+        # one the witness command emits (578 elements).
+        path = str(tmp_path / "big.poset")
+        if source == "witness":
+            run(capsys, ["witness", "--rank", "10", "--intervals",
+                         "[1,2]+[3,4]+[5,6]+[7,9]", "--N", "64", "--emit-poset", path])
+        else:
+            write(tmp_path / "big.poset", self.complete_levels(14))
+        self.forbid_chains(monkeypatch)
+        assert main(["partition", "--poset", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {chains} maximal chains times {rank_sets} rank sets "
+            "exceed the partition cap 1048576\n")
+
+    def test_work_cap_is_inclusive(self, capsys, monkeypatch, tmp_path):
+        # Rank 4: 8 chains times 8 rank sets is 64.
+        path = write(tmp_path / "r4.poset", self.complete_levels(4))
+        monkeypatch.setattr(cli, "PARTITION_WORK_CAP", 64)
+        code, out = run(capsys, ["partition", "--poset", path])
+        assert code == 0
+        assert "partition valid: yes" in out
+        monkeypatch.setattr(cli, "PARTITION_WORK_CAP", 63)
+        self.forbid_chains(monkeypatch)
+        assert main(["partition", "--poset", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: 8 maximal chains times 8 rank sets exceed the partition cap 63\n")
+
+    def test_work_cap_admits_its_bound(self, capsys, tmp_path):
+        # 16 ** 4 chains times 2 ** 4 rank sets is exactly the cap.
+        path = str(tmp_path / "r5.poset")
+        run(capsys, ["witness", "--rank", "5", "--intervals", "[1,1]+[2,2]+[3,3]+[4,4]",
+                     "--N", "16", "--emit-poset", path])
+        code, out = run(capsys, ["partition", "--poset", path])
+        assert code == 0
+        assert "partition valid: yes" in out
+        assert out.count("\nchain ") == 16**4
+
 
 class TestRankSetBound:
     # fvector and partition enumerate all 2**(rank - 1) rank sets, so a

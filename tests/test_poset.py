@@ -77,6 +77,55 @@ def sample_numbering(P: GradedPoset, rng: random.Random) -> GradedPoset:
     return validate(elements, P.covers)
 
 
+def structure(P: GradedPoset):
+    """Levels, then every element with its up and down covers, in order."""
+    return (tuple(P.level(r) for r in range(P.rank + 1)),
+            tuple((x, P.up_covers(x), P.down_covers(x)) for x in P.elements))
+
+
+def seeded_witnesses(n: int, count: int):
+    """count witnesses of rank n + 1, k <= 3 intervals, N <= 3."""
+    rng = random.Random(n + 70)
+    every = [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+    for _ in range(count):
+        sys_ = IntervalSystem.of(n, rng.sample(every, rng.randint(0, min(3, len(every)))))
+        yield witness_poset(WitnessSpec(n, sys_, rng.randint(1, 3)))
+
+
+class TestBuiltOnce:
+    """witness_poset and dual build their posets without validate(); the
+    maps they derive are the ones validate derives from the same covers."""
+
+    @staticmethod
+    def assert_validate_agrees(P: GradedPoset, rng: random.Random) -> None:
+        # Covers fed in shuffled order still come out in position order.
+        covers = list(P.covers)
+        rng.shuffle(covers)
+        Q = validate([(x, P.rank_of(x)) for x in P.elements], covers)
+        assert structure(Q) == structure(P)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_witness_matches_validate(self, n):
+        for P in seeded_witnesses(n, 6):
+            self.assert_validate_agrees(P, random.Random(n))
+
+    def test_wide_witness_matches_validate(self):
+        P = witness_poset(WitnessSpec(2, IntervalSystem.parse("[1,2]+[1,1]", 2), 63))
+        assert len(P) == 4034 and len(P.up_covers(P.bottom)) == 63**2
+        self.assert_validate_agrees(P, random.Random(0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dual_of_dual(self, n):
+        posets = [*seeded_witnesses(n, 4), random_graded_poset(n + 1, seed=n + 80)]
+        for P in posets:
+            Q = dual(P)
+            assert [Q.level(r) for r in range(Q.rank + 1)] == [
+                P.level(P.rank - r) for r in range(P.rank + 1)]
+            assert all(Q.up_covers(x) == P.down_covers(x)
+                       and Q.down_covers(x) == P.up_covers(x) for x in P.elements)
+            assert structure(dual(Q)) == structure(P)
+
+
 class TestValidate:
     def test_diamond(self, diamond):
         assert diamond.rank == 2
@@ -272,7 +321,7 @@ class TestDual:
     def test_involution(self, fig_poset):
         Q = dual(dual(fig_poset))
         assert Q.elements == fig_poset.elements
-        assert sorted(Q.covers) == sorted(fig_poset.covers)
+        assert structure(Q) == structure(fig_poset)
 
 
 class TestNextSelectedRank:
@@ -321,6 +370,39 @@ class TestFirstAtom:
         )
         assert first_atom(P, P.bottom, P.top) == "(1;2,*)"
         assert first_atom(fig_poset, fig_poset.bottom, fig_poset.top) == "(1;1,*)"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_covers_given_against_position_order(self, seed):
+        # Covers listed in reverse or shuffled still give the atom of least
+        # position, found here from the order closure alone.
+        rng = random.Random(seed)
+        P = random_graded_poset(rng.randint(2, 5), seed=seed + 600)
+        less = order_closure(P)
+        covers = list(P.covers)
+        for order in (covers[::-1], rng.sample(covers, len(covers))):
+            Q = validate([(x, P.rank_of(x)) for x in P.elements], order)
+            for p, q in less:
+                atoms = [z for z in Q.up_covers(p) if z == q or (z, q) in less]
+                assert first_atom(Q, p, q) == min(atoms, key=Q.position)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_not_comparable_pairs(self, fig_poset, seed):
+        # p == q, q below p and incomparable pairs all raise, before and
+        # after partition_classes fills the memo.
+        rank = random.Random(seed).randint(2, 5)
+        kinds = set()
+        for P in (fig_poset, random_graded_poset(rank, seed=seed + 700)):
+            less = order_closure(P)
+            bad = [(p, q) for p in P.elements for q in P.elements
+                   if (p, q) not in less]
+            kinds |= {"equal" if p == q else "below" if (q, p) in less
+                      else "incomparable" for p, q in bad}
+            for fill in (lambda: None, lambda: partition_classes(P)):
+                fill()
+                for p, q in bad:
+                    with pytest.raises(NotComparable):
+                        first_atom(P, p, q)
+        assert kinds == {"equal", "below", "incomparable"}
 
 
 class TestChainPartition:
