@@ -7,6 +7,10 @@ a poset at a middle rank: (F * G)(P) sums F on the lower interval times G on
 the upper interval over all elements at the junction rank, and on basis
 symbols it unions the supports around the junction letter.
 
+A Form is its dense coefficient vector, indexed by the 2^n rank-set masks,
+and shift, convolution and projection are each defined once on such vectors
+(_shift_vector, _product_vector, _project_vector).
+
 Degree-0 values are bare scalars (Fraction), never Form objects.
 """
 
@@ -14,12 +18,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, and_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import poset as poset_mod
 from . import ranksets
-from .intervals import IntervalSystem, is_blocker
+from .intervals import MAX_AMBIENT, AmbientTooLarge, IntervalSystem, is_blocker
 from .polyhedra import Scalar
 
 
@@ -36,36 +41,53 @@ class ZeroForm(ValueError):
 
 
 # One Fraction object per small integer, for coefficients built in bulk:
-# the extreme forms' coefficients are mostly +1 and -1.
+# most entries of a dense vector are 0, and the extreme forms' nonzero
+# coefficients are mostly +1 and -1.
 _SMALL_INTEGERS = {k: Fraction(k) for k in range(-16, 17)}
 _ZERO = _SMALL_INTEGERS[0]
 
 
-class Form:
-    """Sparse exact-rational combination of the f_S basis in one degree."""
+def _length(degree: int) -> int:
+    """2^(degree-1), the length of a degree's coefficient vector, for a
+    degree in [1, MAX_AMBIENT + 1]; checked before anything that long is
+    built."""
+    if degree < 1:
+        raise DegreeMismatch(f"degree {degree} < 1")
+    if degree - 1 > MAX_AMBIENT:
+        raise AmbientTooLarge(f"ambient {degree - 1} > {MAX_AMBIENT}")
+    return 1 << (degree - 1)
 
-    __slots__ = ("degree", "_coeffs")
+
+class Form:
+    """Exact-rational combination of the f_S basis in one degree.
+
+    A form is its dense coefficient vector: `_vec` holds 2^(degree-1)
+    Fractions, the coefficient of f_S at index S (ascending mask order).
+    Integral entries in [-16, 16], zero included, are the shared Fractions
+    of _SMALL_INTEGERS.  A degree above MAX_AMBIENT + 1 is refused with
+    AmbientTooLarge.
+    """
+
+    __slots__ = ("degree", "_vec")
 
     def __init__(self, degree: int, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        if degree < 1:
-            raise DegreeMismatch(f"degree {degree} < 1")
+        acc: list[Scalar] = [0] * _length(degree)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, Fraction] = {}
         for mask, c in items:
             ranksets.check_mask(mask, degree - 1)
-            acc[mask] = acc.get(mask, _ZERO) + Fraction(c)
-        # Integral coefficients in range share the Fractions of
-        # _SMALL_INTEGERS, as in from_vector, so a kept form holds none of
-        # its own for them.
-        small = _SMALL_INTEGERS.get
+            acc[mask] += Fraction(c)
+        self._store(degree, acc)
+
+    def _store(self, degree: int, vec: Iterable[Scalar]) -> "Form":
+        """Set a new form's degree and coefficient tuple, and return it:
+        each entry a Fraction, the shared one of _SMALL_INTEGERS if any."""
+        shared = _SMALL_INTEGERS.get
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "_coeffs",
-            {
-                m: small(c.numerator, c) if c.denominator == 1 else c
-                for m, c in sorted(acc.items()) if c
-            },
-        )
+        object.__setattr__(self, "_vec", tuple([
+            (shared(c) or (c if type(c) is Fraction else Fraction(c))) if c else _ZERO
+            for c in vec
+        ]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -78,75 +100,61 @@ class Form:
 
     @classmethod
     def from_vector(cls, degree: int, vec: Sequence[Scalar]) -> "Form":
-        if degree < 1:
-            raise DegreeMismatch(f"degree {degree} < 1")
-        if len(vec) != 1 << (degree - 1):
+        if len(vec) != _length(degree):
             raise DegreeMismatch(
                 f"vector length {len(vec)} != 2**{degree - 1}"
             )
-        # The masks of a full-length vector are distinct, ascending and in
-        # range, so nothing of __init__ but the Fraction conversion applies;
-        # small integral coordinates share the Fractions of _SMALL_INTEGERS.
-        small = _SMALL_INTEGERS.get
-        form = object.__new__(cls)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(
-            form, "_coeffs",
-            {m: small(c) or Fraction(c) for m, c in enumerate(vec) if c},
-        )
-        return form
+        return object.__new__(cls)._store(degree, vec)
 
     # -- inspection ----------------------------------------------------------
 
     def coeff(self, mask: int) -> Fraction:
         ranksets.check_mask(mask, self.degree - 1)
-        return self._coeffs.get(mask, _ZERO)
+        return self._vec[mask]
 
     __getitem__ = coeff
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """(mask, coefficient) pairs in ascending mask order."""
-        return iter(self._coeffs.items())
+        """(mask, coefficient) pairs of the nonzero coefficients, in
+        ascending mask order."""
+        return ((m, c) for m, c in enumerate(self._vec) if c)
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._coeffs)
+        return frozenset(m for m, c in enumerate(self._vec) if c)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not any(self._vec)
 
     def vector(self) -> tuple[Fraction, ...]:
-        """Dense coefficient tuple over all masks in ascending order."""
-        get = self._coeffs.get
-        return tuple([get(m, _ZERO) for m in range(1 << (self.degree - 1))])
+        """The dense coefficient tuple over all masks in ascending order."""
+        return self._vec
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binop(self, other: "Form", sign: int) -> "Form":
+    def _binop(self, other: "Form", op) -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
         if other.degree != self.degree:
             raise DegreeMismatch(f"degrees {self.degree} != {other.degree}")
-        acc = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            acc[m] = acc.get(m, _ZERO) + sign * c
-        return Form(self.degree, acc)
+        return object.__new__(Form)._store(self.degree, map(op, self._vec, other._vec))
 
     def __add__(self, other):
-        return self._binop(other, 1)
+        return self._binop(other, add)
 
     def __sub__(self, other):
-        return self._binop(other, -1)
+        return self._binop(other, sub)
 
     def __neg__(self):
-        return Form(self.degree, {m: -c for m, c in self._coeffs.items()})
+        return self * -1
 
     def __mul__(self, scalar):
         if isinstance(scalar, Form):
             return NotImplemented
-        s = Fraction(scalar)
-        return Form(self.degree, {m: s * c for m, c in self._coeffs.items()})
+        return object.__new__(Form)._store(
+            self.degree, map(Fraction(scalar).__mul__, self._vec)
+        )
 
     __rmul__ = __mul__
 
@@ -157,17 +165,17 @@ class Form:
         return (
             isinstance(other, Form)
             and self.degree == other.degree
-            and self._coeffs == other._coeffs
+            and self._vec == other._vec
         )
 
     def __hash__(self):
-        return hash((self.degree, tuple(self._coeffs.items())))
+        return hash((self.degree, self._vec))
 
     def __str__(self):
         return render_terms("f", self.terms()) or f"0 (degree {self.degree})"
 
     def __repr__(self):
-        return f"Form({self.degree}, {self._coeffs!r})"
+        return f"Form({self.degree}, {dict(self.terms())!r})"
 
 
 # -- convolution and friends -------------------------------------------------
@@ -211,6 +219,7 @@ def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
         return G * F
     if not isinstance(G, Form):
         return F * G
+    _length(F.degree + G.degree)  # checked before the vector is built
     return Form.from_vector(
         F.degree + G.degree, _product_vector(F.vector(), G.vector())
     )
@@ -227,6 +236,7 @@ def shift(F: Form, k: int) -> Form:
     n = F.degree - 1
     if not (0 <= k <= n):
         raise BadShiftIndex(f"k = {k} outside [0, {n}]")
+    _length(F.degree + 1)  # checked before the vector is built
     return Form.from_vector(F.degree + 1, _shift_vector(F.vector(), k))
 
 
@@ -304,34 +314,23 @@ def factor_once(F: Form) -> tuple[Form, Form] | None:
     """
     if F.is_zero:
         raise ZeroForm("factoring the zero form")
-    deg = F.degree
-    common = None
-    for s in F.support:
-        common = s if common is None else common & s
+    deg, vec = F.degree, F.vector()
+    support = [s for s, _ in F.terms()]
+    common = reduce(and_, support)
     for m in range(1, deg):
-        if not (common >> (m - 1)) & 1:
+        junction = 1 << (m - 1)
+        if not common & junction:
             continue
-        low_mask = (1 << (m - 1)) - 1
-        table: dict[tuple[int, int], Fraction] = {}
-        for s, c in F.terms():
-            table[(s & low_mask, s >> m)] = c
-        rows = sorted({i for i, _ in table})
-        cols = sorted({j for _, j in table})
-        r0 = rows[0]
-        c0 = min(j for (i, j) in table if i == r0)
-        pivot = table[(r0, c0)]
-        u = {i: table.get((i, c0), Fraction(0)) / pivot for i in rows}
-        v = {j: table.get((r0, j), Fraction(0)) for j in cols}
-        ok = True
-        for i in rows:
-            for j in cols:
-                if table.get((i, j), Fraction(0)) != u[i] * v[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Form(m, u), Form(deg - m, v)
+        # The column of the first term, scaled to a first nonzero entry 1,
+        # and the row of that entry: the factors, if the table is their
+        # outer product.
+        high = support[0] >> m << m
+        column = [vec[i | junction | high] for i in range(junction)]
+        r0 = next(i for i, c in enumerate(column) if c)
+        F1 = Form.from_vector(m, [c / column[r0] for c in column])
+        F2 = Form.from_vector(deg - m, vec[r0 | junction :: junction << 1])
+        if convolve(F1, F2) == F:
+            return F1, F2
     return None
 
 

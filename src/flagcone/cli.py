@@ -23,6 +23,7 @@ from .algebra import Form, parse_form, render_terms, to_h_coeffs
 from .cone import (
     MAX_DD_AMBIENT,
     MAX_MEMBERSHIP_AMBIENT,
+    WITNESS_N_CAP as SEARCH_N_CAP,
     contains,
     contains_by_projection,
     extreme_rays,
@@ -145,8 +146,14 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"witness poset: rank={w.n + 1} intervals={w.intervals} N={w.N}"
             )
             print(f"witness evaluation: {result.witness_value}")
+        elif args.rank == 1:
+            print("witness poset: none, rank 1 has no witness recipe"
+                  " (antichain is conclusive)")
         else:
-            print("witness poset: none below the N cap (antichain is conclusive)")
+            # contains doubles N from 1 while N <= SEARCH_N_CAP, so 2^top
+            # is the largest N it tried, whether or not the cap is a power of 2.
+            top = SEARCH_N_CAP.bit_length() - 1
+            print(f"witness poset: none for N up to 2^{top} (antichain is conclusive)")
     return 1
 
 

@@ -182,9 +182,11 @@ class MembershipResult:
     When the form lies outside the cone, `violated` is the first antichain
     in canonical order whose blocker sum is negative and `value` is that
     sum.  `witness` is then a poset recipe on which the form provably
-    evaluates negatively (`witness_value`), found by doubling N; if no
-    power of two up to the cap produced a negative evaluation the recipe is
-    omitted, the violated antichain alone being conclusive.
+    evaluates negatively (`witness_value`), found by doubling N from 1.
+    The recipe is None, the violated antichain alone being conclusive, in
+    two cases: at rank 2 and above when no power of two N up to
+    WITNESS_N_CAP = 2^20 gave a negative evaluation, and at rank 1, where
+    no witness recipe exists (WitnessSpec needs n >= 1) and none is sought.
     """
 
     inside: bool

@@ -408,8 +408,13 @@ def chain_interval_system(P: GradedPoset, chain: Sequence[str]) -> IntervalSyste
     """
     if len(chain) != P.rank + 1:
         raise ValueError(f"chain length {len(chain)} != rank + 1 = {P.rank + 1}")
+    rank_of = P._rank_of
+    for x in chain:
+        if x not in rank_of:
+            raise ValueError(f"{x!r} is not an element")
+    # One rank up and above in the memoized reach bits: a cover.
     for lo, hi in zip(chain, chain[1:]):
-        if hi not in P.up_covers(lo):
+        if rank_of[hi] != rank_of[lo] + 1 or not P.lt(lo, hi):
             raise ValueError(f"({lo!r}, {hi!r}) is not a cover")
     return _system_of(P.n, _psi(P, chain))
 

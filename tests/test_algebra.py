@@ -27,7 +27,7 @@ from flagcone.algebra import (
     shift,
     to_h_coeffs,
 )
-from flagcone.intervals import IntervalSystem
+from flagcone.intervals import MAX_AMBIENT, AmbientTooLarge, IntervalSystem
 from flagcone.poset import (
     dual,
     flag_vector,
@@ -136,6 +136,40 @@ class TestForm:
         assert Form.from_vector(3, F.vector()) == F
         assert len(F.vector()) == 4
 
+    @pytest.mark.parametrize("degree", [1, 3, 7])
+    def test_stores_its_dense_vector(self, degree):
+        # The coefficient tuple is the form's one storage: vector() hands
+        # it out, 2^(degree-1) entries, zeros the one shared Fraction(0).
+        F = Form(degree, {0: 2, (1 << (degree - 1)) - 1: Fraction(-1, 3)})
+        assert Form.__slots__ == ("degree", "_vec")
+        assert F.vector() is F.vector()
+        assert len(F.vector()) == 1 << (degree - 1)
+        assert all(type(c) is Fraction for c in F.vector())
+        assert all(c is algebra._ZERO for c in F.vector() if not c)
+        assert Form.from_vector(degree, F.vector()).vector() == F.vector()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hash_agrees_with_equality_across_constructions(self, seed):
+        rng = random.Random(seed)
+        degree = rng.randint(1, 5)
+        size = 1 << (degree - 1)
+        vec = [rng.choice([0, 0, 1, -3, Fraction(2, 3), 40]) for _ in range(size)]
+        other = [rng.choice([0, 1, -1]) for _ in range(size)]
+        A, B = Form.from_vector(degree, vec), Form.from_vector(degree, other)
+        same = [
+            Form(degree, dict(enumerate(vec))),
+            Form(degree, [(m, c) for m, c in enumerate(vec)] + [(0, 1), (0, -1)]),
+            A,
+            (A + B) - B,
+            -(-A),
+            A * 3 / 3,
+            2 * A - A,
+        ]
+        for F in same:
+            assert F == A and hash(F) == hash(A) and repr(F) == repr(A)
+        assert (A - A).vector() == Form(degree).vector()
+        assert hash(A - A) == hash(Form(degree))
+
     def test_vector_builds_no_fraction(self, monkeypatch):
         # Absent masks share one zero instead of a new Fraction(0) each.
         F = Form(7, {M(1, 3): 2, M(): Fraction(-1, 2)})
@@ -195,6 +229,23 @@ class TestForm:
         # As in the constructor, not a bare ValueError from a negative shift.
         with pytest.raises(DegreeMismatch, match="< 1"):
             Form.from_vector(degree, [])
+
+    def test_degree_above_the_dense_cap(self):
+        # A form is 2^(degree-1) coefficients, so a degree above
+        # MAX_AMBIENT + 1 is refused before any vector is allocated.
+        top = MAX_AMBIENT + 1
+        assert len(Form(top).vector()) == 1 << MAX_AMBIENT
+        for build in (
+            lambda: Form(top + 1),
+            lambda: Form(40, {0: 1}),
+            lambda: Form.monomial(10**18, 0),
+            lambda: Form.from_vector(top + 1, []),
+            lambda: convolve(Form(top - 4), Form(5)),
+            lambda: shift(Form(top), 0),
+        ):
+            with pytest.raises(AmbientTooLarge, match=f"^ambient [0-9]+ > {MAX_AMBIENT}$"):
+                build()
+        assert convolve(Form(top - 5), Form(5)).degree == top
 
     def test_immutable_and_hashable(self):
         F = f(2, 1)

@@ -253,6 +253,30 @@ class TestCheck:
         assert code == 1
         assert out == (DATA / "outside-r7.certificate").read_text()
 
+    def test_certificate_without_witness(self, capsys, tmp_path):
+        # Rank 3: no witness with N up to the search cap (CI diffs the
+        # installed command against the committed file); rank 1: no
+        # witness recipe exists.
+        path = str(DATA / "nowitness-r3.form")
+        code, out = run(capsys, ["check", "--rank", "3", "--form", path, "--certificate"])
+        assert code == 1
+        assert out == (DATA / "nowitness-r3.certificate").read_text() == (
+            "in cone: no\n"
+            "violated antichain: [1,2]\n"
+            "blocker sum: -1\n"
+            "witness poset: none for N up to 2^20 (antichain is conclusive)\n"
+        )
+        path = write(tmp_path / "neg1.form", 'form rank=1\n"{}" -1\n')
+        code, out = run(capsys, ["check", "--rank", "1", "--form", path, "--certificate"])
+        assert code == 1
+        assert out == (
+            "in cone: no\n"
+            "violated antichain: empty\n"
+            "blocker sum: -1\n"
+            "witness poset: none, rank 1 has no witness recipe"
+            " (antichain is conclusive)\n"
+        )
+
     def test_rank7_in_cone_with_fractions(self, capsys):
         # A rank-7 form in the cone with non-integer coefficients, so the
         # projection recursion clears denominators and runs to the end; CI
@@ -268,6 +292,14 @@ class TestCheck:
         assert capsys.readouterr() == (
             "", "error: form has rank 4, --rank says 5\n"
         )
+
+    @pytest.mark.parametrize("rank", [22, 40])
+    def test_form_rank_above_the_dense_cap_is_error(self, capsys, tmp_path, rank):
+        # A form file's header rank sizes its dense vector, so a rank above
+        # 21 is refused before --rank is compared, not allocated.
+        path = write(tmp_path / "huge.form", f'form rank={rank}\n"{{1}}" 1\n')
+        assert main(["check", "--rank", "7", "--form", path]) == 2
+        assert capsys.readouterr() == ("", f"error: ambient {rank - 1} > 20\n")
 
     def test_membership_disagreement_is_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "contains_by_projection", lambda F: False)

@@ -36,7 +36,7 @@ from flagcone.intervals import (
     enumerate_antichains, is_blocker,
 )
 from flagcone.polyhedra import dd_rays, matrix_rank
-from flagcone.poset import flag_number, flag_vector, witness_poset
+from flagcone.poset import WitnessSpec, flag_number, flag_vector, witness_poset
 
 from oracles import (
     classify_by_factoring, compress, h_form, leading_ones_factor,
@@ -193,6 +193,29 @@ class TestContains:
             P = witness_poset(res.witness)
             assert eval_poset(P, F) == res.witness_value < 0
         assert max(res.witness.N for _, res in cases) >= 2
+
+    def test_no_witness_below_the_cap(self):
+        # 2^30 f_empty - f_{2} violates [1,2] by -1, but on P(2, [1,2], N)
+        # it evaluates to 2^30 - N, negative only from N = 2^31 on, beyond
+        # the search's cap; the antichain alone is the certificate.
+        F = Form(3, {0: 1 << 30, M(2): -1})
+        res = contains(F)
+        assert not res
+        assert str(res.violated) == "[1,2]"
+        assert res.value == -1
+        assert res.witness is None and res.witness_value is None
+        for N, sign in ((cone.WITNESS_N_CAP, 1), (1 << 31, -1)):
+            spec = WitnessSpec(2, res.violated, N)
+            value = sum(c * spec.predicted_flag_number(s) for s, c in F.terms())
+            assert value * sign > 0
+
+    def test_rank_one_has_no_witness(self):
+        # A degree-1 form is its one coefficient; no recipe is sought.
+        res = contains(Form(1, {0: -1}))
+        assert not res
+        assert res.violated == IntervalSystem.empty(0)
+        assert res.value == -1
+        assert res.witness is None and res.witness_value is None
 
     def test_zero_form_inside(self):
         assert contains(Form(3))
@@ -815,8 +838,6 @@ class TestFlagCone:
     def test_generators_are_witness_limits(self):
         # normalized witness flag vectors approach the generator with O(1/N)
         desc = flag_cone(2)
-        from flagcone.poset import WitnessSpec
-
         for sys_, g in desc.generators:
             if len(sys_) == 0:
                 continue

@@ -420,6 +420,20 @@ class TestChainPartition:
         with pytest.raises(ValueError):
             chain_interval_system(fig_poset, (fig_poset.bottom, fig_poset.top))
 
+    @pytest.mark.parametrize("middle, message", [
+        # (1;1,*) lies below (2;1,1) and (2;1,2) only.
+        (("(1;1,*)", "(2;2,1)", "(3;*,1)"), "is not a cover"),
+        (("(1;1,*)", "(1;2,*)", "(3;*,1)"), "is not a cover"),
+        (("(1;1,*)", "(2;1,1)", "(3;*,9)"), "is not an element"),
+    ], ids=["non-cover step", "repeated rank", "unknown element"])
+    def test_bad_chain_of_the_right_length(self, fig_poset, middle, message):
+        chain = (fig_poset.bottom, *middle, fig_poset.top)
+        # Before and after the reach bits the check reads are memoized.
+        for fill in (lambda: None, lambda: partition_classes(fig_poset)):
+            fill()
+            with pytest.raises(ValueError, match=message):
+                chain_interval_system(fig_poset, chain)
+
     def test_class_sizes_are_flag_numbers(self, fig_poset):
         classes = partition_classes(fig_poset)
         for mask, chains in classes.items():
