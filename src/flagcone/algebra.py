@@ -8,8 +8,9 @@ the upper interval over all elements at the junction rank, and on basis
 symbols it unions the supports around the junction letter.
 
 A Form is its dense coefficient vector, indexed by the 2^n rank-set masks,
-and shift, convolution and projection are each defined once on such vectors
-(_shift_vector, _product_vector, _project_vector).
+and shift, convolution, projection and the subset-sum transform are each
+defined once on such vectors (_shift_vector, _product_vector,
+_project_vector, _subset_sums).
 
 Degree-0 values are bare scalars (Fraction), never Form objects.
 """
@@ -206,6 +207,20 @@ def _product_vector(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     return out
 
 
+def _subset_sums(vec: Sequence[Scalar]) -> list[Scalar]:
+    """The zeta transform of a coefficient vector: entry T sums vec[S] over
+    the S inside T.  One in-place pass per bit adds g[T ^ bit] into g[T] for
+    every T holding the bit; the values keep their type."""
+    g = list(vec)
+    size = len(g)
+    for b in range(size.bit_length() - 1):
+        bit = 1 << b
+        for base in range(bit, size, bit << 1):
+            for T in range(base, base + bit):
+                g[T] += g[T ^ bit]
+    return g
+
+
 def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
     """Product of forms: junction letter inserted between the two supports.
 
@@ -338,12 +353,12 @@ def factor_once(F: Form) -> tuple[Form, Form] | None:
 
 
 def to_h_coeffs(F: Form) -> dict[int, Fraction]:
-    """Coordinates in the h-basis: the U-th one sums a_S over S containing U."""
-    n = F.degree - 1
-    return {
-        u: sum((c for s, c in F.terms() if s & u == u), Fraction(0))
-        for u in range(1 << n)
-    }
+    """Coordinates in the h-basis: the U-th one sums a_S over S containing U.
+
+    Complementing every index (reversing the vector) turns supersets into
+    subsets, so these are the reversed subset sums of the reversed vector.
+    """
+    return dict(enumerate(reversed(_subset_sums(F.vector()[::-1]))))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -419,31 +434,17 @@ _COEFFICIENT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def parse_form(text: str) -> Form:
-    """Parse the form text format: ASCII integer or num/den coefficients
-    with den not zero, at most one term line per rank set."""
-    degree = None
+    """Parse the form text format: a `form rank=R` header first, then term
+    lines with a rank set inside [1, R-1] and an ASCII integer or num/den
+    coefficient with den not zero, at most one term line per rank set."""
+    degree, records = ranksets._read_records(text, "form")
+    _length(degree)  # checked before any term line is read
     coeffs: dict[int, Fraction] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "form":
-            if degree is not None:
-                raise ValueError("repeated form header")
-            rank = re.fullmatch(r"rank=([0-9]+)", " ".join(parts[1:]))
-            if rank is None:
-                raise ValueError(f"bad header {raw!r}")
-            degree = int(rank[1])
-        else:
-            if degree is None:
-                raise ValueError("term before form header")
-            if len(parts) != 2 or not _COEFFICIENT.fullmatch(parts[1]):
-                raise ValueError(f"bad term line {raw!r}")
-            mask = ranksets.parse(parts[0])
-            if mask in coeffs:
-                raise ValueError(f"repeated term line {raw!r}")
-            coeffs[mask] = Fraction(parts[1])
-    if degree is None:
-        raise ValueError("missing form header")
+    for parts, raw in records:
+        if len(parts) != 2 or not _COEFFICIENT.fullmatch(parts[1]):
+            raise ValueError(f"bad term line {raw!r}")
+        mask = ranksets.parse(parts[0], degree - 1)
+        if mask in coeffs:
+            raise ValueError(f"repeated term line {raw!r}")
+        coeffs[mask] = Fraction(parts[1])
     return Form(degree, coeffs)

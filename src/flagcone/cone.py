@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Literal, Sequence
 
 from . import ranksets
-from .algebra import Form, _product_vector, _project_vector, _shift_vector
+from .algebra import Form, _product_vector, _project_vector, _shift_vector, _subset_sums
 from .intervals import (
     AmbientTooLarge,
     IntervalSystem,
@@ -158,19 +158,11 @@ def _facet_terms(n: int) -> tuple[tuple[IntervalSystem, tuple[int, ...], tuple[i
 def _facet_values(vec: Sequence[Scalar], n: int) -> Iterator[Scalar]:
     """The facet values of a coefficient vector, lazily, in facet order.
 
-    One in-place zeta transform, n passes each adding g[T ^ bit] into g[T]
-    for every T holding the bit, turns a copy of the vector into its subset
-    sums g(T); each facet's blocker sum is then the signed sum of its
-    _facet_terms.  The values are those of the 0/1 normals, exactly.
+    Each facet's blocker sum is the signed sum of its _facet_terms, read
+    off the vector's subset sums g(T) (_subset_sums).  The values are those
+    of the 0/1 normals, exactly.
     """
-    g = list(vec)
-    size = len(g)
-    for b in range(n):
-        bit = 1 << b
-        for base in range(bit, size, bit << 1):
-            for T in range(base, base + bit):
-                g[T] += g[T ^ bit]
-    get = g.__getitem__
+    get = _subset_sums(vec).__getitem__
     for _, plus, minus in _facet_terms(n):
         yield sum(map(get, plus)) - sum(map(get, minus))
 

@@ -18,7 +18,7 @@ atoms, the only test the partition makes, are memoized on the poset.
 from __future__ import annotations
 
 import itertools
-import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -183,6 +183,13 @@ def validate(
     DanglingElement, TrivialPoset.  CyclicCovers cannot occur once
     BadCoverRank passes (covers raise rank, so no cycle closes), but the
     code name is reserved in this vocabulary.
+
+    Every check reads per-element maps and the count of elements per rank,
+    and all of them run before the levels are built, so a refusal costs time
+    linear in the input whatever its ranks.  An empty level below the top
+    leaves an element without a cover (NoUniqueBottom when it is rank 0,
+    DanglingElement otherwise), so a poset that passes has fewer levels
+    than elements.
     """
     elems = list(elements)
     rank_of: dict[str, int] = {}
@@ -197,16 +204,14 @@ def validate(
     rank = max(rank_of.values())
     if rank == 0:
         raise PosetValidationError("TrivialPoset", "bottom equals top (rank 0)")
-    levels_mut: list[list[str]] = [[] for _ in range(rank + 1)]
-    for x, r in elems:
-        levels_mut[r].append(x)
-    if len(levels_mut[0]) != 1:
+    count = Counter(rank_of.values())
+    if count[0] != 1:
         raise PosetValidationError(
-            "NoUniqueBottom", f"{len(levels_mut[0])} elements at rank 0"
+            "NoUniqueBottom", f"{count[0]} elements at rank 0"
         )
-    if len(levels_mut[rank]) != 1:
+    if count[rank] != 1:
         raise PosetValidationError(
-            "NoUniqueTop", f"{len(levels_mut[rank])} elements at top rank {rank}"
+            "NoUniqueTop", f"{count[rank]} elements at top rank {rank}"
         )
     up: dict[str, list[str]] = {x: [] for x in rank_of}
     seen: set[tuple[str, str]] = set()
@@ -224,17 +229,20 @@ def validate(
             continue
         seen.add((lo, hi))
         up[lo].append(hi)
-    P = GradedPoset(tuple(map(tuple, levels_mut)), up)
+    covered = {hi for _, hi in seen}
     for x, r in rank_of.items():
-        if r < rank and not P.up_covers(x):
+        if r < rank and not up[x]:
             raise PosetValidationError(
                 "DanglingElement", f"{x!r} has no upper cover"
             )
-        if r > 0 and not P.down_covers(x):
+        if r > 0 and x not in covered:
             raise PosetValidationError(
                 "DanglingElement", f"{x!r} has no lower cover"
             )
-    return P
+    levels: list[list[str]] = [[] for _ in range(rank + 1)]
+    for x, r in elems:
+        levels[r].append(x)
+    return GradedPoset(tuple(map(tuple, levels)), up)
 
 
 # -- flag numbers ----------------------------------------------------------
@@ -489,23 +497,13 @@ def format_poset(P: GradedPoset) -> str:
 
 
 def parse_poset(text: str) -> GradedPoset:
-    """Parse the poset text format; comments start with '#'."""
-    header = None
+    """Parse the poset text format: a `poset rank=R` header first, then
+    elem and cover lines; comments start with '#'."""
+    header, records = ranksets._read_records(text, "poset")
     elements: list[tuple[str, int]] = []
     covers: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "poset":
-            if header is not None:
-                raise ValueError("repeated poset header")
-            rank = re.fullmatch(r"rank=([0-9]+)", " ".join(parts[1:]))
-            if rank is None:
-                raise ValueError(f"bad header {raw!r}")
-            header = int(rank[1])
-        elif parts[0] == "elem":
+    for parts, raw in records:
+        if parts[0] == "elem":
             if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
                 raise ValueError(f"bad elem line {raw!r}")
             elements.append((parts[1], int(parts[2])))
@@ -515,8 +513,6 @@ def parse_poset(text: str) -> GradedPoset:
             covers.append((parts[1], parts[2]))
         else:
             raise ValueError(f"unknown line {raw!r}")
-    if header is None:
-        raise ValueError("missing poset header")
     P = validate(elements, covers)
     if P.rank != header:
         raise PosetValidationError(

@@ -8,6 +8,7 @@ sets always run over masks 0, 1, ..., 2**n - 1 in ascending order.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 
@@ -31,14 +32,12 @@ def mask_of(elems) -> int:
 
 
 def elems_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of ranks in a mask."""
+    """Sorted tuple of ranks in a mask, one step per rank in it."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -52,12 +51,13 @@ def to_string(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elems_of(mask)) + "}"
 
 
-def parse(text: str) -> int:
-    """Parse a set literal like "{1,3}" or "{}" back to a mask.
+def parse(text: str, n: int) -> int:
+    """Parse a set literal like "{1,3}" or "{}" back to a mask over [1, n].
 
     Each element must be ASCII digits, spaces around them allowed, named
     once: "{1,1}", "{1,}", "{1;2}", "{1_0}" and "{+2}" are bad rank-set
-    literals.
+    literals.  An element above n raises RankSetOutOfRange before any mask
+    is built, so a literal like "{100000000}" costs no more than its text.
     """
     s = text.strip()
     if s.startswith('"') and s.endswith('"'):
@@ -71,7 +71,36 @@ def parse(text: str) -> int:
     ranks = {int(part) for part in parts if part.isascii() and part.isdigit()}
     if len(ranks) != len(parts):
         raise ValueError(f"bad rank-set literal {text!r}")
+    if max(ranks) > n:
+        listed = ",".join(map(str, sorted(ranks)))
+        raise RankSetOutOfRange(f"rank set {{{listed}}} not within [1,{n}]")
     return mask_of(ranks)
+
+
+def _read_records(text: str, kind: str) -> tuple[int, list[tuple[list[str], str]]]:
+    """R of the `KIND rank=R` header, which must come first and once, and
+    each later line split into words, with its raw text for messages; '#'
+    starts a comment and blank lines are skipped.  R is in ASCII digits."""
+    rank = None
+    records = []
+    for raw in text.splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == kind:
+            if rank is not None:
+                raise ValueError(f"repeated {kind} header")
+            header = re.fullmatch(r"rank=([0-9]+)", " ".join(parts[1:]))
+            if header is None:
+                raise ValueError(f"bad header {raw!r}")
+            rank = int(header[1])
+        elif rank is None:
+            raise ValueError(f"line {raw!r} before {kind} header")
+        else:
+            records.append((parts, raw))
+    if rank is None:
+        raise ValueError(f"missing {kind} header")
+    return rank, records
 
 
 def subsets(n: int) -> Iterator[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from flagcone.poset import (
     witness_poset,
     WitnessSpec,
 )
+from flagcone.ranksets import RankSetOutOfRange
 
 from oracles import compress, h_form, project_by_terms, random_graded_poset
 
@@ -561,6 +563,18 @@ class TestHBasis:
         }
         assert Form(F.degree, back) == F
 
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_matches_superset_sums(self, degree):
+        # The O(4^n) definition, against the transform of the reversed vector.
+        rng = random.Random(4100 + degree)
+        for _ in range(3):
+            F = random_form(rng, degree)
+            size = 1 << (degree - 1)
+            assert to_h_coeffs(F) == {
+                u: sum((F.coeff(s) for s in range(size) if s & u == u), Fraction(0))
+                for u in range(size)
+            }
+
     def test_h_of_h_forms(self):
         # b_U(h_i) = [U == {i}] for i >= 1
         coords = to_h_coeffs(h_form(3, 2))
@@ -631,6 +645,24 @@ class TestTextFormat:
             parse_form("{1} 2\n")
         with pytest.raises(ValueError):
             parse_form("form rank=3\nnonsense\n")
+
+    def test_comments_and_blank_lines_before_header(self):
+        F = parse_form("\n# a comment\n   \n  # indented\nform rank=3  # header\n{2} 1\n")
+        assert F == Form(3, {M(2): 1})
+
+    def test_huge_mask_is_refused_at_once(self):
+        # Its message used to be rendered one bit at a time, quadratic in
+        # the width of the mask.
+        start = time.perf_counter()
+        with pytest.raises(RankSetOutOfRange, match=re.escape("rank set {1000001} not within [1,2]")):
+            Form(3, {1 << 10**6: 1})
+        assert time.perf_counter() - start < 1
+
+    def test_degree_is_checked_before_the_terms(self):
+        with pytest.raises(AmbientTooLarge, match="^ambient 39 > 20$"):
+            parse_form("form rank=40\nnonsense\n")
+        with pytest.raises(DegreeMismatch, match="^degree 0 < 1$"):
+            parse_form("form rank=0\n{1} 1\n")
 
     @pytest.mark.parametrize("header", [
         "form rank=+0_4", "form rank=\u0664", "form rank=+4", "form rank=-1",

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,33 @@ class TestCheck:
         assert main(["check", "--rank", "4", "--form", path]) == 2
         assert capsys.readouterr() == ("", "error: bad term line '\"{1}\" 1/0'\n")
 
+    @pytest.mark.parametrize("name, argv, message", [
+        ("bigrank.form", ["check", "--rank", "3", "--form"],
+         "rank set {100000000} not within [1,2]"),
+        ("bigrank.poset", ["fvector", "--poset"], "'a' has no upper cover"),
+    ])
+    def test_huge_rank_in_file_is_error_at_once(self, capsys, name, argv, message):
+        # The form file used to run for hours and the poset file to take
+        # 323 MB before its error; CI runs the installed command on both.
+        start = time.perf_counter()
+        assert main([*argv, str(DATA / name)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, argv, record", [
+        ("form", ["check", "--rank", "3", "--form"], '"{1}" 1'),
+        ("poset", ["fvector", "--poset"], "elem a 0"),
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("{record}\n{kind} rank=3\n", "line {record!r} before {kind} header"),
+        ("{kind} rank=3\n{kind} rank=3\n", "repeated {kind} header"),
+        ("# {kind} rank=3\n\n", "missing {kind} header"),
+    ])
+    def test_header_errors_are_parallel(self, capsys, tmp_path, kind, argv, record, text, message):
+        path = write(tmp_path / f"odd.{kind}", text.format(kind=kind, record=record))
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(kind=kind, record=record)}\n")
+
     def test_non_ascii_elem_rank_is_error(self, capsys, tmp_path):
         path = write(tmp_path / "odd.poset", "poset rank=2\nelem a 0\nelem c 0_2\n")
         assert main(["fvector", "--poset", path]) == 2
@@ -382,7 +410,7 @@ class TestWitnessAndFvector:
         got = {}
         for ln in lines[1:]:
             label, value = ln.rsplit(" ", 1)
-            got[ranksets.parse(label)] = int(value)
+            got[ranksets.parse(label, 3)] = int(value)
         for mask in range(8):
             assert got[mask] == spec.predicted_flag_number(mask)
 

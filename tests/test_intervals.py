@@ -280,12 +280,12 @@ class TestEnumerateAntichains:
 class TestRankSets:
     def test_roundtrip(self):
         for mask in range(32):
-            assert ranksets.parse(ranksets.to_string(mask)) == mask
+            assert ranksets.parse(ranksets.to_string(mask), 5) == mask
 
     def test_literals(self):
         assert ranksets.to_string(0) == "{}"
         assert ranksets.to_string(0b101) == "{1,3}"
-        assert ranksets.parse('"{1,3}"') == 0b101
+        assert ranksets.parse('"{1,3}"', 3) == 0b101
 
     @pytest.mark.parametrize("text", [
         "{1,1}", '"{2,3,2}"', "{1,}", "{a}", "{1;2}",
@@ -293,11 +293,23 @@ class TestRankSets:
     ])
     def test_parse_rejects_bad_literal(self, text):
         with pytest.raises(ValueError, match=re.escape(f"bad rank-set literal {text!r}")):
-            ranksets.parse(text)
+            ranksets.parse(text, 3)
 
     def test_parse_allows_spaces_around_digits(self):
-        assert ranksets.parse("{ 1 , 3 }") == 0b101
-        assert ranksets.parse("{ }") == 0
+        assert ranksets.parse("{ 1 , 3 }", 3) == 0b101
+        assert ranksets.parse("{ }", 0) == 0
+
+    def test_parse_refuses_an_element_above_n(self):
+        # Refused before any mask is built, so the size of the number
+        # costs nothing.
+        with pytest.raises(ranksets.RankSetOutOfRange,
+                           match=re.escape("rank set {2,100000000} not within [1,3]")):
+            ranksets.parse("{100000000, 2}", 3)
+        assert ranksets.parse("{3}", 3) == 0b100
+
+    def test_elems_of_steps_over_set_bits(self):
+        assert ranksets.elems_of(1 << 10**6 | 0b101) == (1, 3, 10**6 + 1)
+        assert ranksets.to_string(1 << 10**6) == "{1000001}"
 
     def test_interval_mask(self):
         assert ranksets.interval_mask(2, 4) == 0b1110

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -178,6 +179,30 @@ class TestValidate:
     def test_trivial_poset(self):
         with pytest.raises(PosetValidationError):
             validate([("x", 0)], [])
+
+    @pytest.mark.parametrize("elements, covers, code, message", [
+        ([("b", 3), ("a", 0)], [], "DanglingElement", "'b' has no lower cover"),
+        ([("a", 0), ("b", 3)], [], "DanglingElement", "'a' has no upper cover"),
+        ([("a", 1), ("b", 3)], [], "NoUniqueBottom", "0 elements at rank 0"),
+        ([("a", 0), ("b", 3), ("c", 3)], [], "NoUniqueTop", "2 elements at top rank 3"),
+        ([("a", 0), ("b", 1), ("c", 3)], [("a", "z")], "UnknownElement",
+         "cover ('a', 'z') uses an undeclared element"),
+        ([("a", 0), ("b", 1), ("c", 3)], [("a", "b"), ("b", "c")], "BadCoverRank",
+         "cover ('b', 'c') joins ranks 1 and 3"),
+    ])
+    def test_empty_level_keeps_its_error(self, elements, covers, code, message):
+        with pytest.raises(PosetValidationError, match=f"^{re.escape(message)}$") as e:
+            validate(elements, covers)
+        assert e.value.code == code
+
+    def test_huge_rank_is_refused_before_the_levels_are_built(self):
+        # One level per rank used to be allocated first: 323 MB at rank
+        # 4,000,000, and memory exhausted well before rank 10**9.
+        start = time.perf_counter()
+        with pytest.raises(PosetValidationError, match="^'a' has no upper cover$") as e:
+            validate([("a", 0), ("b", 10**9)], [])
+        assert e.value.code == "DanglingElement"
+        assert time.perf_counter() - start < 1
 
     def test_rank_one_chain(self):
         P = validate([("0", 0), ("1", 1)], [("0", "1")])
@@ -592,3 +617,10 @@ cover b 1
     def test_missing_header(self):
         with pytest.raises(ValueError):
             parse_poset("elem 0 0\n")
+
+    def test_header_after_a_record_is_refused(self):
+        # This file used to parse as the rank-1 chain.
+        text = "elem a 0\nelem b 1\ncover a b\nposet rank=1\n"
+        with pytest.raises(ValueError, match=re.escape("line 'elem a 0' before poset header")):
+            parse_poset(text)
+
