@@ -8,9 +8,9 @@ the upper interval over all elements at the junction rank, and on basis
 symbols it unions the supports around the junction letter.
 
 A Form is its dense coefficient vector, indexed by the 2^n rank-set masks,
-and shift, convolution, projection and the subset-sum transform are each
-defined once on such vectors (_shift_vector, _product_vector,
-_project_vector, _subset_sums).
+and shift, convolution, projection and the subset- and superset-sum
+transforms are each defined once on such vectors (_shift_vector,
+_product_vector, _project_vector, _subset_sums, _superset_sums).
 
 Degree-0 values are bare scalars (Fraction), never Form objects.
 """
@@ -221,6 +221,12 @@ def _subset_sums(vec: Sequence[Scalar]) -> list[Scalar]:
     return g
 
 
+def _superset_sums(vec: Sequence[Scalar]) -> list[Scalar]:
+    """Entry S sums vec[T] over the T containing S: reversing the vector
+    complements every index, so these are its reversed subset sums."""
+    return _subset_sums(vec[::-1])[::-1]
+
+
 def convolve(F: Form | Scalar, G: Form | Scalar) -> Form | Fraction:
     """Product of forms: junction letter inserted between the two supports.
 
@@ -353,12 +359,8 @@ def factor_once(F: Form) -> tuple[Form, Form] | None:
 
 
 def to_h_coeffs(F: Form) -> dict[int, Fraction]:
-    """Coordinates in the h-basis: the U-th one sums a_S over S containing U.
-
-    Complementing every index (reversing the vector) turns supersets into
-    subsets, so these are the reversed subset sums of the reversed vector.
-    """
-    return dict(enumerate(reversed(_subset_sums(F.vector()[::-1]))))
+    """h-basis coordinates: the U-th one sums a_S over the S containing U."""
+    return dict(enumerate(_superset_sums(F.vector())))
 
 
 # -- evaluation ----------------------------------------------------------------

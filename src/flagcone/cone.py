@@ -3,14 +3,14 @@
 A form of degree n+1 is nonnegative on every graded poset of rank n+1
 exactly when, for each of the Catalan-many antichains of intervals on
 [1, n], the form's coefficients sum to something nonnegative over the
-antichain's blocker family.  This module materializes those facets as 0/1
-normals for the double description and the extremeness rank test, and
-decides membership two independent ways: facet evaluation and the
-projection recursion, which runs on integer coefficient vectors.  Facet
-evaluation needs no normals: one subset-sum (zeta) transform of the
-coefficients gives every blocker sum as a short signed sum, by
-inclusion-exclusion over the antichain's intervals.  The module also
-enumerates the extreme rays of the cone by double description, reproduces
+antichain's blocker family.  One facet table per rank (facet_system)
+holds each antichain with its blocker sum's inclusion-exclusion terms: one
+subset-sum (zeta) transform of the coefficients then gives every blocker
+sum as a short signed sum, and the 0/1 normals that the double description
+and the extremeness rank test need are read off the same terms.  The
+module decides membership two independent ways, by facet values, with no
+normal, and by the projection recursion on integer coefficient vectors.
+It enumerates the extreme rays of the cone by double description, reproduces
 them constructively by lifting and convolution, and builds the polar cone
 spanned by the normalized limit flag vectors, whose facets are those
 extreme rays.
@@ -23,14 +23,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Literal, Sequence
 
-from . import ranksets
-from .algebra import Form, _product_vector, _project_vector, _shift_vector, _subset_sums
-from .intervals import (
-    AmbientTooLarge,
-    IntervalSystem,
-    blockers,
-    enumerate_antichains,
+from .algebra import (
+    Form, _product_vector, _project_vector, _shift_vector, _subset_sums, _superset_sums,
 )
+from .intervals import AmbientTooLarge, IntervalSystem, enumerate_antichains
 from .polyhedra import (
     Ray, Scalar, _independent_rows, _primitive, canonicalize, dd_rays,
 )
@@ -93,22 +89,41 @@ class FacetSystem:
     Facets come in the order enumerate_antichains generates them, which is
     canonical: each antichain's intervals sorted by (lo, hi), antichains
     ascending lexicographically by that list (IntervalSystem.sort_key).
-    The normal of the antichain I is the 0/1 indicator of its blocker
-    family over the rank sets in ascending mask order.  The normals are the
-    rows of the double description and of the extremeness rank test;
-    membership reads the facet values off subset sums instead (see
-    _facet_values), without them.
+    `terms` holds each antichain with the subset sums its blocker sum adds
+    and subtracts (_blocker_terms); `values` reads the facet values off
+    them, and `facets` the 0/1 normals, on first use: the indicators of the
+    blocker families over the rank sets in ascending mask order, the rows
+    of the double description and of the extremeness rank test.
     """
 
     n: int
-    facets: tuple[tuple[IntervalSystem, Ray], ...]
+    terms: tuple[tuple[IntervalSystem, tuple[int, ...], tuple[int, ...]], ...]
+
+    def values(self, vec: Sequence[Scalar]) -> Iterator[Scalar]:
+        """The facet values of a coefficient vector, lazily, in facet order:
+        each the signed sum of its terms' subset sums g(T) (_subset_sums)."""
+        get = _subset_sums(vec).__getitem__
+        for _, plus, minus in self.terms:
+            yield sum(map(get, plus)) - sum(map(get, minus))
+
+    @cached_property
+    def facets(self) -> tuple[tuple[IntervalSystem, Ray], ...]:
+        """Each antichain with its 0/1 normal.  The blocker sum adds g(T)
+        over `plus` and subtracts it over `minus`, and g(T) sums the
+        coefficients of the rank sets inside T, so the normal's entry S is
+        the superset sum at S of the signed term counts (_superset_sums)."""
+        facets = []
+        for sys_, plus, minus in self.terms:
+            signed = [plus.count(T) - minus.count(T) for T in range(1 << self.n)]
+            facets.append((sys_, Ray(tuple(_superset_sums(signed)))))
+        return tuple(facets)
 
     @property
     def normal_matrix(self) -> list[tuple[int, ...]]:
         return [normal.coords for _, normal in self.facets]
 
     def __len__(self) -> int:
-        return len(self.facets)
+        return len(self.terms)
 
 
 @lru_cache(maxsize=None)
@@ -116,18 +131,11 @@ def facet_system(n: int) -> FacetSystem:
     """Facets of the cone of degree-(n+1) forms nonnegative on all posets."""
     if n > MAX_MEMBERSHIP_AMBIENT:
         raise AmbientTooLarge(f"ambient {n} > {MAX_MEMBERSHIP_AMBIENT}")
-    facets = []
-    for sys_ in enumerate_antichains(n):
-        fam = blockers(sys_)
-        normal = Ray(tuple(1 if mask in fam else 0 for mask in ranksets.subsets(n)))
-        facets.append((sys_, normal))
-    return FacetSystem(n, tuple(facets))
+    return FacetSystem(n, tuple((s, *_blocker_terms(s)) for s in enumerate_antichains(n)))
 
 
-@lru_cache(maxsize=None)
-def _facet_terms(n: int) -> tuple[tuple[IntervalSystem, tuple[int, ...], tuple[int, ...]], ...]:
-    """Per antichain, in facet order, the antichain with the subset sums its
-    blocker sum adds (`plus`) and subtracts (`minus`).
+def _blocker_terms(sys_: IntervalSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Subset sums the blocker sum adds (`plus`) and subtracts (`minus`).
 
     A rank set blocks the antichain I exactly when it meets every interval,
     so by inclusion-exclusion over the subsets J of I the blocker sum is
@@ -135,36 +143,20 @@ def _facet_terms(n: int) -> tuple[tuple[IntervalSystem, tuple[int, ...], tuple[i
     J and g(T) sums the coefficients of the rank sets inside T.  Equal T_J
     are merged with their signs; a net multiplicity above 1 repeats the
     index.  At rank 7 that leaves 9.4 terms per facet, against 23.8
-    nonzeros in a 0/1 normal.  Built from the antichains alone, so no
-    facet normal is needed.
+    nonzeros in a 0/1 normal.
     """
-    full = (1 << n) - 1
-    terms = []
-    for sys_ in enumerate_antichains(n):
-        unions = {0: 1}  # union of J -> sum of (-1)^|J|
-        for iv in sys_.intervals:
-            grown = dict(unions)
-            for u, c in unions.items():
-                grown[u | iv.mask] = grown.get(u | iv.mask, 0) - c
-            unions = grown
-        plus: list[int] = []
-        minus: list[int] = []
-        for u, c in sorted(unions.items()):
-            (plus if c > 0 else minus).extend([full ^ u] * abs(c))
-        terms.append((sys_, tuple(plus), tuple(minus)))
-    return tuple(terms)
-
-
-def _facet_values(vec: Sequence[Scalar], n: int) -> Iterator[Scalar]:
-    """The facet values of a coefficient vector, lazily, in facet order.
-
-    Each facet's blocker sum is the signed sum of its _facet_terms, read
-    off the vector's subset sums g(T) (_subset_sums).  The values are those
-    of the 0/1 normals, exactly.
-    """
-    get = _subset_sums(vec).__getitem__
-    for _, plus, minus in _facet_terms(n):
-        yield sum(map(get, plus)) - sum(map(get, minus))
+    full = (1 << sys_.ambient_n) - 1
+    unions = {0: 1}  # union of J -> sum of (-1)^|J|
+    for iv in sys_.intervals:
+        grown = dict(unions)
+        for u, c in unions.items():
+            grown[u | iv.mask] = grown.get(u | iv.mask, 0) - c
+        unions = grown
+    plus: list[int] = []
+    minus: list[int] = []
+    for u, c in sorted(unions.items()):
+        (plus if c > 0 else minus).extend([full ^ u] * abs(c))
+    return tuple(plus), tuple(minus)
 
 
 @dataclass(frozen=True)
@@ -205,20 +197,21 @@ def contains(F: Form) -> MembershipResult:
     """Is the form nonnegative on every graded poset of its rank?
 
     Evaluates the blocker sum of each facet antichain in canonical order,
-    from the subset sums of the form's coefficients (_facet_values), and
-    stops at the first negative one.  The antichains come with their term
-    lists (_facet_terms), so no facet normal is built.  On failure the result carries that
-    antichain and a concrete witness recipe; see MembershipResult.
+    from the subset sums of the form's coefficients (FacetSystem.values),
+    and stops at the first negative one.  It reads the antichains and their
+    term lists only, so no facet normal is built.  On failure the result
+    carries that antichain and a concrete witness recipe; see
+    MembershipResult.
     """
-    n = _check_degree(F)
-    for (sys_, _, _), value in zip(_facet_terms(n), _facet_values(F.vector(), n)):
+    fs = facet_system(_check_degree(F))
+    for (sys_, _, _), value in zip(fs.terms, fs.values(F.vector())):
         if value < 0:
             witness = None
             witness_value = None
-            if n >= 1:
+            if fs.n >= 1:
                 N = 1
                 while N <= WITNESS_N_CAP:
-                    spec = WitnessSpec(n, sys_, N)
+                    spec = WitnessSpec(fs.n, sys_, N)
                     wv = sum(c * spec.predicted_flag_number(s) for s, c in F.terms())
                     if wv < 0:
                         witness = spec
@@ -268,9 +261,9 @@ def is_extreme(F: Form) -> bool:
 
     True exactly when the facet normals vanishing on F have rank 2^n - 1,
     one less than the ambient dimension (Fukuda & Prodon 1996).  One sweep
-    over the facet values (_facet_values, from subset sums) both checks
-    membership and collects the normals of the facets where the value is
-    zero.  It runs in integers, over form_to_ray(F): a
+    over the facet values (FacetSystem.values, from subset sums) both
+    checks membership and collects the normals of the facets where the
+    value is zero.  It runs in integers, over form_to_ray(F): a
     positive scaling keeps every value's sign and every zero.  A form
     outside the cone raises NotInCone naming the first violated antichain,
     the one contains(F).violated reports.
@@ -295,7 +288,7 @@ def _is_extreme_ray(fs: FacetSystem, ray: tuple[int, ...]) -> bool:
     so it calls this directly instead of canonicalizing again.
     """
     active = []
-    for (sys_, normal), value in zip(fs.facets, _facet_values(ray, fs.n)):
+    for (sys_, normal), value in zip(fs.facets, fs.values(ray)):
         if value < 0:
             raise NotInCone(f"form violates the facet at {sys_}")
         if value == 0:

@@ -17,8 +17,12 @@ class RankSetOutOfRange(ValueError):
 
 
 def check_mask(mask: int, n: int) -> None:
+    """Refuse a mask with bits outside [1, n].  The message lists at most
+    eight ranks, so it costs time linear in the mask's width."""
     if mask < 0 or mask >> n:
-        raise RankSetOutOfRange(f"rank set {to_string(mask) if mask >= 0 else mask} not within [1,{n}]")
+        shown = (str(mask) if mask < 0 else to_string(mask) if mask.bit_count() <= 8
+                 else f"of {mask.bit_count()} ranks up to {mask.bit_length()}")
+        raise RankSetOutOfRange(f"rank set {shown} not within [1,{n}]")
 
 
 def mask_of(elems) -> int:

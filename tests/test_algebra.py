@@ -658,6 +658,16 @@ class TestTextFormat:
             Form(3, {1 << 10**6: 1})
         assert time.perf_counter() - start < 1
 
+    def test_dense_huge_mask_message_is_bounded(self):
+        # A mask with a million ranks is refused in linear time with a
+        # short message, not a listing of every rank.
+        start = time.perf_counter()
+        with pytest.raises(RankSetOutOfRange) as info:
+            Form(3, {(1 << 10**6) - 1: 1})
+        assert time.perf_counter() - start < 1
+        assert len(str(info.value)) < 200
+        assert str(info.value) == "rank set of 1000000 ranks up to 1000000 not within [1,2]"
+
     def test_degree_is_checked_before_the_terms(self):
         with pytest.raises(AmbientTooLarge, match="^ambient 39 > 20$"):
             parse_form("form rank=40\nnonsense\n")

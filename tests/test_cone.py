@@ -72,14 +72,23 @@ class TestFacetSystem:
             assert len(fs) == count == catalan(n + 1)
 
     def test_normals_are_distinct_indicator_vectors(self):
-        fs = facet_system(3)
-        seen = set()
-        for sys_, normal in fs.facets:
-            assert set(normal.coords) <= {0, 1}
-            assert normal.coords not in seen
-            seen.add(normal.coords)
-            for mask, bit in zip(ranksets.subsets(3), normal.coords):
-                assert bit == int(is_blocker(mask, sys_))
+        # The normals are read off the inclusion-exclusion terms; the
+        # oracle tests each rank set against the antichain directly.
+        for n in range(7):
+            seen = set()
+            for sys_, normal in facet_system(n).facets:
+                assert set(normal.coords) <= {0, 1}
+                assert normal.coords not in seen
+                seen.add(normal.coords)
+                family = blockers(sys_)
+                for mask, bit in zip(ranksets.subsets(n), normal.coords):
+                    assert bit == int(is_blocker(mask, sys_)) == int(mask in family)
+
+    def test_rank7_normals_digest(self):
+        # The 429 rank-7 normals, which no CLI output covers.
+        text = "\n".join(",".join(map(str, row)) for row in facet_system(6).normal_matrix)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f5e993f8e19cdc12b289bce51057008d6bb004119aa8508e5828b6d3791c3b7")
 
     def test_canonical_order(self):
         fs = facet_system(3)
@@ -107,6 +116,15 @@ def blocker_members(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(blockers(sys_).members) for sys_ in enumerate_antichains(n))
 
 
+@functools.lru_cache(maxsize=None)
+def facet_table(n: int) -> cone.FacetSystem:
+    """facet_system(n), or above its cap the same table built directly."""
+    if n <= cone.MAX_MEMBERSHIP_AMBIENT:
+        return facet_system(n)
+    return cone.FacetSystem(
+        n, tuple((s, *cone._blocker_terms(s)) for s in enumerate_antichains(n)))
+
+
 def coefficient_vectors(scalars):
     return st.integers(0, 7).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(scalars, min_size=1 << n, max_size=1 << n))
@@ -114,36 +132,39 @@ def coefficient_vectors(scalars):
 
 
 class TestFacetValues:
-    # _facet_values reads every blocker sum off one subset-sum transform;
-    # the oracle adds the coefficients over the blocker family itself.
+    # FacetSystem.values reads every blocker sum off one subset-sum
+    # transform; the oracle adds the coefficients over the blocker family.
 
     @given(st.one_of(coefficient_vectors(st.integers(-10**6, 10**6)),
                      coefficient_vectors(st.fractions(-9, 9, max_denominator=7))))
     @settings(max_examples=60, deadline=None)
     def test_matches_blocker_sums(self, case):
         n, vec = case
-        got = list(cone._facet_values(vec, n))
+        got = list(facet_table(n).values(vec))
         expected = [sum(vec[s] for s in members) for members in blocker_members(n)]
         assert got == expected
         assert [type(v) for v in got] == [type(v) for v in expected]
 
-    # _is_extreme_ray pairs each value with the normal at the same index of
-    # facet_system(n), so both must come in one order.
+    # _is_extreme_ray pairs each value with the normal at the same index,
+    # the values from the subset sums and the normals from superset sums.
     @pytest.mark.parametrize("n", range(7))
     def test_matches_facet_normals(self, n):
         rng = random.Random(n)
         vec = [rng.randint(-5, 5) for _ in range(1 << n)]
         expected = [sum(a * z for a, z in zip(vec, normal.coords))
                     for _, normal in facet_system(n).facets]
-        assert list(cone._facet_values(vec, n)) == expected
+        assert list(facet_system(n).values(vec)) == expected
 
     @pytest.mark.parametrize("n, terms", [(0, 1), (1, 3), (6, 4019), (7, 18771)])
     def test_term_counts(self, n, terms):
         # 9.4 terms per facet at rank 7 and 13.1 at rank 8, against 23.8
         # and 44.2 nonzeros in the 0/1 normals.
-        lists = cone._facet_terms(n)
-        assert [sys_ for sys_, _, _ in lists] == enumerate_antichains(n)
-        assert sum(len(plus) + len(minus) for _, plus, minus in lists) == terms
+        antichains = enumerate_antichains(n)
+        lists = [cone._blocker_terms(sys_) for sys_ in antichains]
+        assert sum(len(plus) + len(minus) for plus, minus in lists) == terms
+        if n <= cone.MAX_MEMBERSHIP_AMBIENT:
+            assert facet_system(n).terms == tuple(
+                (sys_, *pm) for sys_, pm in zip(antichains, lists))
 
 
 class TestContains:
@@ -470,13 +491,13 @@ class TestIsExtremeExact:
 
     def test_facet_sweep_sees_only_ints(self, monkeypatch):
         swept = []
-        values = cone._facet_values
+        values = cone.FacetSystem.values
 
-        def spy(vec, n):
+        def spy(fs, vec):
             swept.append(tuple(vec))
-            return values(vec, n)
+            return values(fs, vec)
 
-        monkeypatch.setattr(cone, "_facet_values", spy)
+        monkeypatch.setattr(cone.FacetSystem, "values", spy)
         forms = [BANKER * Fraction(1, 3), Form(4, {M(2): Fraction(3, 4)}),
                  Form(3, {0: Fraction(-1, 2)})]
         forms += [e.form * Fraction(2, 7) for e in extreme_rays(3).rays]
@@ -947,14 +968,14 @@ class TestPinnedOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f4650172af458ce3be7d2af0179118927ed610f92c93c195f38a3fa0afe8c6d2")
 
-    def test_rank7_membership_builds_no_facet_system(self):
-        # contains names the violated antichain from _facet_terms, so no
+    def test_rank7_membership_builds_no_facet_normal(self):
+        # contains reads the antichains and their term lists alone, so no
         # facet normal is built, inside the cone or outside it.
         forms = self.rank7_forms(8)
         facet_system.cache_clear()
         results = [contains(F) for F in forms]
         assert [bool(r) for r in results] == [i % 4 != 3 for i in range(8)]
-        assert facet_system.cache_info().currsize == 0
+        assert "facets" not in vars(facet_system(6))
 
     @staticmethod
     def rank7_frontier(count: int) -> list:
